@@ -60,18 +60,34 @@ impl ShardedCache {
         &self.shards[idx]
     }
 
-    /// Looks `key` up, counting the hit or miss.
-    pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        let found = self
-            .shard(key)
+    fn lookup(&self, key: &str) -> Option<Arc<String>> {
+        self.shard(key)
             .lock()
             .expect("cache shard")
             .get(key)
-            .cloned();
+            .cloned()
+    }
+
+    /// Looks `key` up, counting the hit or miss.
+    pub fn get(&self, key: &str) -> Option<Arc<String>> {
+        let found = self.lookup(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
+        found
+    }
+
+    /// Looks `key` up, counting only a hit. The server's front end probes
+    /// here before queueing; a miss goes on to a worker whose [`get`]
+    /// counts it, so every request still counts exactly one hit or miss.
+    ///
+    /// [`get`]: Self::get
+    pub(crate) fn probe(&self, key: &str) -> Option<Arc<String>> {
+        let found = self.lookup(key);
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -142,6 +158,20 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn probe_counts_hits_but_never_misses() {
+        let cache = ShardedCache::new(4);
+        assert!(cache.probe("k").is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        cache.insert("k".into(), Arc::new("v".into()));
+        assert_eq!(cache.probe("k").unwrap().as_str(), "v");
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        // A missed probe followed by the worker's `get`: one miss in all.
+        assert!(cache.probe("other").is_none());
+        assert!(cache.get("other").is_none());
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]

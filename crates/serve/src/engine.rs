@@ -521,7 +521,20 @@ impl Engine {
         body: &RequestBody,
         deadline: Option<Instant>,
     ) -> Result<Answer, ExecError> {
-        let key = cache_key(body);
+        self.execute_keyed(body, cache_key(body), deadline)
+    }
+
+    /// [`Engine::execute_with_deadline`] with the body's [`cache_key`]
+    /// already built — the server's front end builds it once, probes the
+    /// memory tier with it, and hands it to the worker on a miss. The
+    /// memory tier is looked up again here (a pipelined duplicate may have
+    /// landed since the probe), and this lookup counts the hit or miss.
+    pub(crate) fn execute_keyed(
+        &self,
+        body: &RequestBody,
+        key: Option<String>,
+        deadline: Option<Instant>,
+    ) -> Result<Answer, ExecError> {
         if let Some(key) = &key {
             if let Some(hit) = self.cache.get(key) {
                 return Ok(Answer {

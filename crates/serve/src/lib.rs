@@ -36,14 +36,19 @@
 //! syscall shim in [`sys`]) where an idle connection costs one file
 //! descriptor; [`IoModel::Threads`] is the classic
 //! blocking-reader-thread-per-connection pool, kept for differential
-//! testing. Either way, complete request lines are parsed, validated,
-//! and pushed onto a bounded [`queue::JobQueue`]; a fixed worker pool
-//! pops jobs, consults the tiered result cache (the sharded in-memory
-//! [`cache`] over the optional persistent [`store`]) keyed by the
-//! canonical bit pattern of every parameter, executes misses through the
-//! shared [`engine::Engine`], and sends the response line back through
-//! the connection's sink. `shutdown` closes the queue: pending jobs
-//! still get answers, then everything drains and `run` returns.
+//! testing. Either way, complete request lines are parsed and validated
+//! on the front-end thread, which also builds the request's cache key
+//! (the canonical bit pattern of every parameter) and probes the memory
+//! tier of the result cache with it: a hit is answered right there,
+//! without touching the queue or a worker. Everything else — misses,
+//! expired requests, and the keyless control ops — is pushed onto a
+//! bounded [`queue::JobQueue`]; a fixed worker pool pops jobs, consults
+//! the tiered result cache again (the sharded in-memory [`cache`] over the
+//! optional persistent [`store`]), executes misses through the shared
+//! [`engine::Engine`], and sends the response line back through the
+//! connection's sink. `shutdown` closes the queue: pending jobs still get
+//! answers, later lines (hits included) are refused and their connections
+//! closed, then everything drains and `run` returns.
 
 #![deny(unsafe_code)] // unsafe lives only in `sys`, behind its own allow
 #![warn(missing_docs)]
@@ -67,8 +72,10 @@ use std::time::{Duration, Instant};
 use wsn_obs::log::EventLog;
 use wsn_obs::trace::{TraceId, TraceIdGen};
 
-use crate::engine::Engine;
-use crate::protocol::{envelope_err, envelope_ok, parse_request, ErrCode, Request, RequestBody};
+use crate::engine::{Answer, Engine};
+use crate::protocol::{
+    cache_key, envelope_err, envelope_ok, parse_request, ErrCode, Request, RequestBody,
+};
 use crate::queue::{JobQueue, PushError};
 use crate::reactor::Reactor;
 use crate::store::Store;
@@ -124,7 +131,8 @@ pub struct ServerConfig {
     /// Most jobs the queue holds before backpressure kicks in.
     pub queue_depth: usize,
     /// Default per-request deadline, ms (overridable per request via
-    /// `deadline_ms`); measured from enqueue to the start of execution.
+    /// `deadline_ms`); measured from arrival to the start of execution.
+    /// An expired request is never answered from the cache.
     pub default_deadline_ms: u64,
     /// Result-cache shards.
     pub cache_shards: usize,
@@ -170,15 +178,20 @@ struct ServeObs {
     slow_us: u64,
 }
 
-/// Everything a connection front-end needs to turn a request line into a
-/// queued job — shared by the blocking reader threads and the reactor
-/// shards, so both io-models validate, enqueue, and account identically.
+/// Everything a connection front-end needs to turn a request line into an
+/// inline cache answer or a queued job — shared by the blocking reader
+/// threads and the reactor shards, so both io-models validate, answer,
+/// enqueue, and account identically.
 #[derive(Debug)]
 pub(crate) struct ReactorCtx {
     pub(crate) engine: Arc<Engine>,
     pub(crate) queue: Arc<JobQueue<Job>>,
     pub(crate) obs: Arc<ServeObs>,
     pub(crate) default_deadline_ms: u64,
+    /// Set once a `shutdown` op runs. From then on no line is answered
+    /// inline: every one takes the queue and, once it is closed, draws
+    /// the shutting-down error and closes its connection.
+    pub(crate) shutdown: Arc<AtomicBool>,
 }
 
 /// How long a full queue makes a *blocking* pusher wait before refusing
@@ -277,6 +290,9 @@ impl ResponseSink for Conn {
 #[derive(Debug)]
 pub(crate) struct Job {
     request: Request,
+    /// The request's cache key, built once on the front end; `None` for
+    /// the live control ops.
+    key: Option<String>,
     conn: Arc<dyn ResponseSink>,
     /// Per-request trace id; echoed in the response envelope and every
     /// access-log record so a client complaint can be joined to the log.
@@ -413,6 +429,7 @@ impl Server {
             queue: Arc::clone(&queue),
             obs: Arc::clone(&obs),
             default_deadline_ms: self.config.default_deadline_ms,
+            shutdown: Arc::clone(&shutdown),
         });
 
         match self.config.io_model {
@@ -456,9 +473,8 @@ impl Server {
                         Ok((stream, peer)) => {
                             let _ = stream.set_nodelay(true);
                             let ctx = Arc::clone(&ctx);
-                            let shutdown = Arc::clone(&shutdown);
                             readers.push(std::thread::spawn(move || {
-                                connection_loop(stream, peer, &ctx, &shutdown);
+                                connection_loop(stream, peer, &ctx);
                             }));
                             readers.retain(|r| !r.is_finished());
                         }
@@ -497,7 +513,7 @@ impl Server {
     }
 }
 
-/// Writes one access-log record; every request that reached the queue
+/// Writes one access-log record; every request answered inline or queued
 /// gets exactly one, whatever its outcome.
 #[allow(clippy::too_many_arguments)]
 fn log_request(
@@ -525,6 +541,39 @@ fn log_request(
         .emit();
 }
 
+/// Records a request answered `ok`: its execution sample, its access-log
+/// record and, past the threshold, a `slow_request` warning. Shared by
+/// worker answers and the front end's inline hits.
+fn record_ok(
+    engine: &Engine,
+    obs: &ServeObs,
+    job: &Job,
+    answer: &Answer,
+    queue_wait_us: u64,
+    exec_us: u64,
+) {
+    engine.stats.record_done(job.request.op, true, exec_us);
+    log_request(
+        obs,
+        job,
+        "ok",
+        true,
+        answer.cached,
+        queue_wait_us,
+        exec_us,
+        answer.body.len(),
+    );
+    if obs.slow_us > 0 && exec_us >= obs.slow_us {
+        obs.log
+            .warn("slow_request")
+            .str("trace", &job.trace.to_string())
+            .str("op", job.request.op.name())
+            .u64("exec_us", exec_us)
+            .u64("threshold_us", obs.slow_us)
+            .emit();
+    }
+}
+
 /// Pops jobs until the queue closes and drains, answering each one.
 ///
 /// Timing contract: `queue_wait_us` runs from enqueue to pop and lands in
@@ -534,7 +583,7 @@ fn log_request(
 /// under `deadline_exceeded` instead of polluting the execution
 /// distribution with near-zero samples.
 fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, obs: &ServeObs) {
-    while let Some(job) = queue.pop() {
+    while let Some(mut job) = queue.pop() {
         let popped = Instant::now();
         let queue_wait_us = popped.duration_since(job.enqueued).as_micros() as u64;
         engine.stats.record_dequeued(queue_wait_us);
@@ -594,7 +643,8 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
             continue;
         }
 
-        match engine.execute_with_deadline(&job.request.body, Some(job.deadline)) {
+        let key = job.key.take();
+        match engine.execute_keyed(&job.request.body, key, Some(job.deadline)) {
             Ok(answer) => {
                 let exec_us = popped.elapsed().as_micros() as u64;
                 job.conn.send_line(&envelope_ok(
@@ -605,26 +655,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
                     &trace,
                     &answer.body,
                 ));
-                engine.stats.record_done(op, true, exec_us);
-                log_request(
-                    obs,
-                    &job,
-                    "ok",
-                    true,
-                    answer.cached,
-                    queue_wait_us,
-                    exec_us,
-                    answer.body.len(),
-                );
-                if obs.slow_us > 0 && exec_us >= obs.slow_us {
-                    obs.log
-                        .warn("slow_request")
-                        .str("trace", &trace)
-                        .str("op", op.name())
-                        .u64("exec_us", exec_us)
-                        .u64("threshold_us", obs.slow_us)
-                        .emit();
-                }
+                record_ok(engine, obs, &job, &answer, queue_wait_us, exec_us);
             }
             Err(error) => {
                 let exec_us = popped.elapsed().as_micros() as u64;
@@ -669,11 +700,19 @@ pub(crate) enum LineDisposition {
     Close,
 }
 
-/// Validates one request line and enqueues it — the single path shared
-/// by both io-models, so they reject, account, and log identically. The
-/// only model-specific choice is `patience`: how long a full queue may
-/// block the caller (2 s for a dedicated reader thread, zero for an
-/// event-loop shard).
+/// Validates one request line, then answers it from the memory tier or
+/// enqueues it — the single path shared by both io-models, so they
+/// reject, answer, account, and log identically. The only model-specific
+/// choice is `patience`: how long a full queue may block the caller (2 s
+/// for a dedicated reader thread, zero for an event-loop shard).
+///
+/// A memory-tier hit is answered on the calling thread: its envelope's
+/// `service_us` runs from the probe to the answer, it draws an execution
+/// sample but no queue-wait sample, and its access-log record carries
+/// `queue_wait_us:0`. The probe counts only hits; a miss is counted by
+/// the worker's own lookup, so each request counts exactly one of the
+/// two. Expired requests are never probed (they take the queue and draw
+/// the `deadline` error), and keyless control ops always take the queue.
 pub(crate) fn handle_request_line(
     line: &str,
     sink: &Arc<dyn ResponseSink>,
@@ -709,6 +748,7 @@ pub(crate) fn handle_request_line(
     };
     let budget_ms = request.deadline_ms.unwrap_or(ctx.default_deadline_ms);
     let job = Job {
+        key: cache_key(&request.body),
         deadline: started + Duration::from_millis(budget_ms),
         conn: Arc::clone(sink),
         trace: ctx.obs.traces.next(),
@@ -716,6 +756,25 @@ pub(crate) fn handle_request_line(
         peer: Arc::clone(peer),
         request,
     };
+    if let Some(key) = &job.key {
+        let probed = Instant::now();
+        if probed < job.deadline && !ctx.shutdown.load(Ordering::Relaxed) {
+            if let Some(body) = ctx.engine.cache.probe(key) {
+                let exec_us = probed.elapsed().as_micros() as u64;
+                job.conn.send_line(&envelope_ok(
+                    &job.request.id,
+                    job.request.op,
+                    true,
+                    exec_us,
+                    &job.trace.to_string(),
+                    &body,
+                ));
+                let answer = Answer { body, cached: true };
+                record_ok(&ctx.engine, &ctx.obs, &job, &answer, 0, exec_us);
+                return LineDisposition::Continue;
+            }
+        }
+    }
     ctx.engine.stats.record_enqueued();
     match ctx.queue.push(job, patience) {
         Ok(()) => LineDisposition::Continue,
@@ -825,7 +884,7 @@ fn read_line_capped(
 /// Serves one client under [`IoModel::Threads`]: reads lines, validates,
 /// enqueues; malformed input draws an error response, never a dead
 /// server.
-fn connection_loop(stream: TcpStream, peer: SocketAddr, ctx: &ReactorCtx, shutdown: &AtomicBool) {
+fn connection_loop(stream: TcpStream, peer: SocketAddr, ctx: &ReactorCtx) {
     if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
         return;
     }
@@ -841,7 +900,7 @@ fn connection_loop(stream: TcpStream, peer: SocketAddr, ctx: &ReactorCtx, shutdo
     let mut buf: Vec<u8> = Vec::new();
 
     loop {
-        match read_line_capped(&mut reader, &mut buf, shutdown) {
+        match read_line_capped(&mut reader, &mut buf, &ctx.shutdown) {
             LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
             LineRead::Oversized => {
                 sink.send_line(&envelope_err(

@@ -960,7 +960,8 @@ pub fn cache_key(body: &RequestBody) -> Option<String> {
 /// Renders a success envelope. `result` is spliced verbatim, so a cached
 /// body reproduces the original response byte-for-byte (only `cached`,
 /// `service_us`, and `trace` may differ between the first and repeat
-/// responses). `service_us` is the pop-to-answer execution time; `trace`
+/// responses). `service_us` is the pop-to-answer execution time (probe
+/// to answer for a memory-tier hit answered on the front end); `trace`
 /// is the request's 16-hex-char trace id, joining the response to the
 /// server's access log.
 pub fn envelope_ok(

@@ -4,12 +4,16 @@
 //!
 //! Each shard runs one thread around [`sys::Epoll::wait`]. A connection
 //! lives entirely on its shard: the shard reads into a per-connection
-//! buffer, frames complete `\n`-terminated lines, parses them with the
-//! same [`crate::handle_request_line`] path as the blocking model, and
-//! hands jobs to the shared bounded worker queue. Workers answer through
-//! a [`ReactorConn`] handle that appends to the connection's write buffer
-//! and wakes the shard via its eventfd; the shard flushes opportunistically
-//! and falls back to `EPOLLOUT` interest when the socket pushes back.
+//! buffer, frames complete `\n`-terminated lines, and parses them with
+//! the same [`crate::handle_request_line`] path as the blocking model.
+//! A memory-tier cache hit is answered on the shard itself: the answer
+//! lands in the connection's write buffer and the `flush_conn` that ends
+//! every read pass writes it, without waiting on the queue, a worker or
+//! the eventfd wake-up. Everything else goes to the shared bounded worker
+//! queue. Workers answer through a [`ReactorConn`] handle that appends to
+//! the connection's write buffer and wakes the shard via its eventfd; the
+//! shard flushes opportunistically and falls back to `EPOLLOUT` interest
+//! when the socket pushes back.
 //!
 //! Overload semantics differ deliberately from the blocking model: a
 //! reader thread can afford to *block* on a full queue (2 s push

@@ -6,9 +6,11 @@
 //!
 //! * `exec_us` — pop-to-answer execution time of requests that actually
 //!   ran (parse time and queue time excluded, deadline-expired jobs
-//!   excluded).
+//!   excluded), plus probe-to-answer time of memory-tier hits the front
+//!   end answered inline.
 //! * `queue_wait_us` — enqueue-to-pop wait of every job a worker popped,
-//!   including ones that then died of their deadline.
+//!   including ones that then died of their deadline. Inline hits never
+//!   queue and draw no sample here.
 //!
 //! Keeping the two apart is the point: under overload the old combined
 //! "service time" mixed ~0 µs deadline corpses into the execution
@@ -105,7 +107,8 @@ impl ServeStats {
     }
 
     /// A request ran to completion: its op, whether it produced an error
-    /// response, and its pop-to-answer execution time.
+    /// response, and its execution time (pop-to-answer for a worker,
+    /// probe-to-answer for an inline memory-tier hit).
     pub fn record_done(&self, op: Op, ok: bool, exec_us: u64) {
         self.requests.inc();
         if !ok {

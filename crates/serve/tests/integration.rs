@@ -745,3 +745,274 @@ fn pareto_and_explore_answer_over_tcp_and_count_in_stats() {
 
     shutdown(addr, handle);
 }
+
+/// Reads `n` response lines off one connection, in arrival order.
+fn read_lines(stream: &TcpStream, n: usize) -> Vec<String> {
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    (0..n)
+        .map(|_| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("response");
+            line.trim_end().to_string()
+        })
+        .collect()
+}
+
+/// The 16-hex-char trace id of an envelope.
+fn trace_of(envelope: &str) -> &str {
+    let idx = envelope.find("\"trace\":\"").expect("envelope has trace") + 9;
+    &envelope[idx..idx + 16]
+}
+
+fn cache_hit_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
+    // One worker, busy with a slow simulation: a cached answer must not
+    // wait behind it, because the front end answers hits without queueing.
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        io_model,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let warm = request_on(
+        &mut stream,
+        r#"{"id":"warm","op":"predict","config":{"distance_m":30.0}}"#,
+    );
+    assert!(warm.contains("\"cached\":false"), "{warm}");
+
+    writeln!(
+        stream,
+        r#"{{"id":"slow","op":"simulate","packets":50000,"config":{{"distance_m":35.0,"power_level":3}}}}"#
+    )
+    .expect("send slow");
+    writeln!(
+        stream,
+        r#"{{"id":"hit","op":"predict","config":{{"distance_m":30.0}}}}"#
+    )
+    .expect("send hit");
+
+    let lines = read_lines(&stream, 2);
+    assert!(lines[0].contains("\"id\":\"hit\""), "{lines:?}");
+    assert!(lines[0].contains("\"cached\":true"), "{lines:?}");
+    assert_eq!(result_part(&warm), result_part(&lines[0]));
+    assert!(lines[1].contains("\"id\":\"slow\""), "{lines:?}");
+    assert!(lines[1].contains("\"ok\":true"), "{lines:?}");
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn cache_hit_overtakes_a_slow_queued_miss() {
+    cache_hit_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::default());
+}
+
+#[test]
+fn cache_hit_overtakes_a_slow_queued_miss_on_threads_model() {
+    cache_hit_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Threads);
+}
+
+#[test]
+fn inline_hits_and_queued_misses_each_count_exactly_once() {
+    // One worker keeps the control ops' own accounting sequential.
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    const MISSES: usize = 3;
+    const HITS: usize = 5;
+    for m in 0..MISSES {
+        let line = format!(
+            r#"{{"id":{m},"op":"predict","config":{{"power_level":{}}}}}"#,
+            3 + 4 * m
+        );
+        let response = request_on(&mut stream, &line);
+        assert!(response.contains("\"cached\":false"), "{response}");
+    }
+    for h in 0..HITS {
+        let line = format!(
+            r#"{{"id":{h},"op":"predict","config":{{"power_level":{}}}}}"#,
+            3 + 4 * (h % MISSES)
+        );
+        let response = request_on(&mut stream, &line);
+        assert!(response.contains("\"cached\":true"), "{response}");
+    }
+
+    let cache = request_on(&mut stream, r#"{"op":"cache"}"#);
+    assert!(
+        cache.contains(&format!(
+            "\"mem\":{{\"entries\":{MISSES},\"hits\":{HITS},\"misses\":{MISSES},"
+        )),
+        "{cache}"
+    );
+
+    let stats = request_on(&mut stream, r#"{"op":"stats"}"#);
+    // Every predict plus the cache op finished before the stats op ran …
+    let answered = MISSES + HITS + 1;
+    assert!(
+        stats.contains(&format!("\"requests\":{answered},")),
+        "{stats}"
+    );
+    assert!(
+        stats.contains(&format!("\"predict\":{},", MISSES + HITS)),
+        "{stats}"
+    );
+    // … and each drew one execution sample, inline hits included …
+    assert!(
+        stats.contains(&format!("\"exec_us\":{{\"count\":{answered},")),
+        "{stats}"
+    );
+    // … but only the queued jobs (misses, cache, this stats op) waited.
+    assert!(
+        stats.contains(&format!("\"queue_wait_us\":{{\"count\":{},", MISSES + 2)),
+        "{stats}"
+    );
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn expired_request_for_a_cached_key_draws_deadline_and_no_hit() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let first = request_on(&mut stream, r#"{"id":1,"op":"predict"}"#);
+    assert!(first.contains("\"cached\":false"), "{first}");
+
+    let expired = request_on(&mut stream, r#"{"id":2,"op":"predict","deadline_ms":0}"#);
+    assert!(expired.contains("\"code\":\"deadline\""), "{expired}");
+
+    let cache = request_on(&mut stream, r#"{"op":"cache"}"#);
+    assert!(cache.contains("\"hits\":0,\"misses\":1,"), "{cache}");
+    let stats = request_on(&mut stream, r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"deadline_exceeded\":1"), "{stats}");
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn each_inline_hit_writes_one_access_log_record_with_its_trace() {
+    let path = std::env::temp_dir().join(format!(
+        "wsn-serve-inline-access-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        access_log: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let miss = request_on(&mut stream, r#"{"id":"m","op":"predict"}"#);
+    assert!(miss.contains("\"cached\":false"), "{miss}");
+    let hits: Vec<String> = (0..2)
+        .map(|h| request_on(&mut stream, &format!(r#"{{"id":"h{h}","op":"predict"}}"#)))
+        .collect();
+    shutdown(addr, handle);
+
+    let text = std::fs::read_to_string(&path).expect("access log exists");
+    for hit in &hits {
+        assert!(hit.contains("\"cached\":true"), "{hit}");
+        let trace = format!("\"trace\":\"{}\"", trace_of(hit));
+        let records: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains("\"event\":\"request\"") && l.contains(&trace))
+            .collect();
+        assert_eq!(records.len(), 1, "{trace} in {text}");
+        for field in [
+            "\"outcome\":\"ok\"",
+            "\"cached\":true",
+            "\"queue_wait_us\":0,",
+        ] {
+            assert!(
+                records[0].contains(field),
+                "missing {field}: {}",
+                records[0]
+            );
+        }
+    }
+    // The miss and the two hits, nothing else, are predict records.
+    let predicts = text
+        .lines()
+        .filter(|l| l.contains("\"event\":\"request\"") && l.contains("\"op\":\"predict\""))
+        .count();
+    assert_eq!(predicts, 3, "{text}");
+
+    let _ = std::fs::remove_file(&path);
+}
+
+fn shutdown_disconnects_a_client_that_keeps_sending_hits_on(io_model: wsn_serve::IoModel) {
+    // A client firing cached requests back to back never leaves its
+    // reader idle, so shutdown must stop answering it inline: `run` has to
+    // return and the connection has to close while it is still sending.
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        io_model,
+        ..ServerConfig::default()
+    });
+    let line = r#"{"id":"h","op":"predict","config":{"distance_m":30.0}}"#;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let warm = request_on(&mut stream, line);
+    assert!(warm.contains("\"ok\":true"), "{warm}");
+    let client = std::thread::spawn(move || {
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let (mut answered, mut unexpected) = (0usize, None);
+        let ended = loop {
+            if let Err(e) = writeln!(stream, "{line}") {
+                break e.kind();
+            }
+            let mut response = String::new();
+            match reader.read_line(&mut response) {
+                Ok(0) => break std::io::ErrorKind::UnexpectedEof,
+                Ok(_) => {
+                    answered += 1;
+                    // Answered before the shutdown took hold, or refused.
+                    let refused = response.contains("\"code\":\"overloaded\"")
+                        && response.contains("shutting down");
+                    if !response.contains("\"ok\":true") && !refused {
+                        unexpected.get_or_insert(response);
+                    }
+                }
+                Err(e) => break e.kind(),
+            }
+        };
+        (answered, unexpected, ended)
+    });
+    std::thread::sleep(Duration::from_millis(100));
+    let response = roundtrip(addr, r#"{"op":"shutdown"}"#);
+    assert!(response.contains("shutting_down"), "{response}");
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(handle.join());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run returns while a client keeps sending hits")
+        .expect("server thread")
+        .expect("clean exit");
+    let (answered, unexpected, ended) = client.join().expect("client thread");
+    assert!(answered > 1, "client got {answered} answers");
+    assert_eq!(unexpected, None);
+    assert!(
+        !matches!(
+            ended,
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "connection left open after shutdown"
+    );
+}
+
+#[test]
+fn shutdown_disconnects_a_client_that_keeps_sending_hits() {
+    shutdown_disconnects_a_client_that_keeps_sending_hits_on(wsn_serve::IoModel::default());
+}
+
+#[test]
+fn shutdown_disconnects_a_client_that_keeps_sending_hits_on_threads_model() {
+    shutdown_disconnects_a_client_that_keeps_sending_hits_on(wsn_serve::IoModel::Threads);
+}
