@@ -92,7 +92,10 @@ impl ShardedCache {
     }
 
     /// Stores `value` under `key`, clearing the shard first if it is full.
-    pub fn insert(&self, key: String, value: Arc<String>) {
+    /// Keys arrive in a pre-sized build buffer; the entry keeps only their
+    /// bytes.
+    pub fn insert(&self, mut key: String, value: Arc<String>) {
+        key.shrink_to_fit();
         let mut shard = self.shard(&key).lock().expect("cache shard");
         if shard.len() >= Self::PER_SHARD_CAP && !shard.contains_key(&key) {
             shard.clear();

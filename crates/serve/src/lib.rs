@@ -70,7 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wsn_obs::log::EventLog;
-use wsn_obs::trace::{TraceId, TraceIdGen};
+use wsn_obs::trace::TraceIdGen;
 
 use crate::engine::{Answer, Engine};
 use crate::protocol::{
@@ -294,9 +294,10 @@ pub(crate) struct Job {
     /// the live control ops.
     key: Option<String>,
     conn: Arc<dyn ResponseSink>,
-    /// Per-request trace id; echoed in the response envelope and every
-    /// access-log record so a client complaint can be joined to the log.
-    trace: TraceId,
+    /// Per-request trace id, rendered once (16 hex chars) when the line is
+    /// parsed; echoed in the response envelope and every access-log record
+    /// so a client complaint can be joined to the log.
+    trace: String,
     /// When the front-end enqueued this job — the start of the
     /// queue-wait clock.
     enqueued: Instant,
@@ -528,7 +529,7 @@ fn log_request(
 ) {
     obs.log
         .info("request")
-        .str("trace", &job.trace.to_string())
+        .str("trace", &job.trace)
         .str("op", job.request.op.name())
         .str("id", &job.request.id)
         .str("peer", &job.peer)
@@ -566,7 +567,7 @@ fn record_ok(
     if obs.slow_us > 0 && exec_us >= obs.slow_us {
         obs.log
             .warn("slow_request")
-            .str("trace", &job.trace.to_string())
+            .str("trace", &job.trace)
             .str("op", job.request.op.name())
             .u64("exec_us", exec_us)
             .u64("threshold_us", obs.slow_us)
@@ -589,14 +590,14 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
         engine.stats.record_dequeued(queue_wait_us);
         let id = &job.request.id;
         let op = job.request.op;
-        let trace = job.trace.to_string();
+        let trace = job.trace.as_str();
 
         if popped > job.deadline {
             let overdue = popped.duration_since(job.deadline).as_millis();
             job.conn.send_line(&envelope_err(
                 id,
                 Some(op),
-                Some(&trace),
+                Some(trace),
                 ErrCode::Deadline,
                 &format!("deadline exceeded: job spent its budget (+{overdue} ms) in the queue"),
             ));
@@ -613,7 +614,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
             );
             obs.log
                 .warn("deadline_exceeded")
-                .str("trace", &trace)
+                .str("trace", trace)
                 .str("op", op.name())
                 .str("peer", &job.peer)
                 .u64("queue_wait_us", queue_wait_us)
@@ -626,7 +627,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
             let body = "{\"shutting_down\":true}";
             let exec_us = popped.elapsed().as_micros() as u64;
             job.conn
-                .send_line(&envelope_ok(id, op, false, exec_us, &trace, body));
+                .send_line(&envelope_ok(id, op, false, exec_us, trace, body));
             engine.stats.record_done(op, true, exec_us);
             log_request(
                 obs,
@@ -652,7 +653,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
                     op,
                     answer.cached,
                     exec_us,
-                    &trace,
+                    trace,
                     &answer.body,
                 ));
                 record_ok(engine, obs, &job, &answer, queue_wait_us, exec_us);
@@ -663,7 +664,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
                 job.conn.send_line(&envelope_err(
                     id,
                     Some(op),
-                    Some(&trace),
+                    Some(trace),
                     error.code,
                     &error.message,
                 ));
@@ -751,7 +752,7 @@ pub(crate) fn handle_request_line(
         key: cache_key(&request.body),
         deadline: started + Duration::from_millis(budget_ms),
         conn: Arc::clone(sink),
-        trace: ctx.obs.traces.next(),
+        trace: ctx.obs.traces.next().to_string(),
         enqueued: started,
         peer: Arc::clone(peer),
         request,
@@ -766,7 +767,7 @@ pub(crate) fn handle_request_line(
                     job.request.op,
                     true,
                     exec_us,
-                    &job.trace.to_string(),
+                    &job.trace,
                     &body,
                 ));
                 let answer = Answer { body, cached: true };
@@ -783,7 +784,7 @@ pub(crate) fn handle_request_line(
             job.conn.send_line(&envelope_err(
                 &job.request.id,
                 Some(job.request.op),
-                Some(&job.trace.to_string()),
+                Some(&job.trace),
                 ErrCode::Overloaded,
                 "server busy: request queue is full",
             ));
@@ -791,7 +792,7 @@ pub(crate) fn handle_request_line(
             ctx.obs
                 .log
                 .warn("queue_full")
-                .str("trace", &job.trace.to_string())
+                .str("trace", &job.trace)
                 .str("op", job.request.op.name())
                 .str("peer", peer)
                 .emit();
@@ -802,7 +803,7 @@ pub(crate) fn handle_request_line(
             job.conn.send_line(&envelope_err(
                 &job.request.id,
                 Some(job.request.op),
-                Some(&job.trace.to_string()),
+                Some(&job.trace),
                 ErrCode::Overloaded,
                 "server is shutting down",
             ));

@@ -14,6 +14,8 @@
 //! result cache never conflates two requests that could differ in even the
 //! last ulp.
 
+use std::fmt::Write as _;
+
 use wsn_link_sim::catalog::{all_timelines, build_scenario, build_timeline};
 use wsn_models::optimize::Metric;
 use wsn_params::config::StackConfig;
@@ -808,10 +810,15 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
     })
 }
 
-/// The canonical bit-exact key of a configuration: `f64::to_bits` for the
-/// distance, raw integers for everything else.
-fn config_bits(config: &StackConfig) -> String {
-    format!(
+/// Room for the longest common key (a full-config `simulate` with an
+/// engine suffix is ~90 bytes), so building one never reallocates.
+const KEY_CAPACITY: usize = 128;
+
+/// Appends the canonical bit-exact key of a configuration: `f64::to_bits`
+/// for the distance, raw integers for everything else.
+fn push_config_bits(key: &mut String, config: &StackConfig) {
+    let _ = write!(
+        key,
         "d:{:016x},p:{},t:{},r:{},q:{},i:{},l:{}",
         config.distance.meters().to_bits(),
         config.power.level(),
@@ -820,7 +827,7 @@ fn config_bits(config: &StackConfig) -> String {
         config.queue_cap.get(),
         config.packet_interval.millis(),
         config.payload.bytes()
-    )
+    );
 }
 
 /// Cache-key suffix partitioning the engine modes: empty for golden (so
@@ -844,63 +851,66 @@ fn profile_suffix(profile: Profile) -> &'static str {
     }
 }
 
-/// The canonical `|c:metric<=bits` run of a constraint list: sorted by
-/// metric name then bound bits, duplicates removed. Permuting (or
-/// repeating) semantically identical constraints must produce the same
-/// cache key, otherwise equal searches miss each other's answers.
-fn constraints_key(constraints: &[(Metric, f64)]) -> String {
+/// Appends the canonical `|c:metric<=bits` run of a constraint list:
+/// sorted by metric name then bound bits, duplicates removed. Permuting
+/// (or repeating) semantically identical constraints must produce the
+/// same cache key, otherwise equal searches miss each other's answers.
+fn push_constraints(key: &mut String, constraints: &[(Metric, f64)]) {
     let mut items: Vec<(&'static str, u64)> = constraints
         .iter()
         .map(|(metric, max)| (metric_name(*metric), max.to_bits()))
         .collect();
     items.sort_unstable();
     items.dedup();
-    let mut run = String::new();
     for (name, bits) in items {
-        run.push_str(&format!("|c:{name}<={bits:016x}"));
+        let _ = write!(key, "|c:{name}<={bits:016x}");
     }
-    run
 }
 
-/// The `|d:bits` or `|d:-` run of an optional distance restriction.
-fn distance_key(distance_m: Option<f64>) -> String {
+/// Appends the `|d:bits` or `|d:-` run of an optional distance restriction.
+fn push_distance(key: &mut String, distance_m: Option<f64>) {
     match distance_m {
-        Some(d) => format!("|d:{:016x}", d.to_bits()),
-        None => "|d:-".to_string(),
+        Some(d) => {
+            let _ = write!(key, "|d:{:016x}", d.to_bits());
+        }
+        None => key.push_str("|d:-"),
     }
 }
 
 /// The canonical cache key of a request body, or `None` for ops whose
-/// answers are live (`stats`, `shutdown`).
+/// answers are live (`stats`, `cache`, `shutdown`). Each key is written
+/// into one pre-sized buffer.
 pub fn cache_key(body: &RequestBody) -> Option<String> {
+    let mut key = String::with_capacity(KEY_CAPACITY);
     match body {
         RequestBody::Simulate {
             config,
             packets,
             seed,
             engine,
-        } => Some(format!(
-            "sim|{}|n:{packets}|s:{seed:016x}{}",
-            config_bits(config),
-            engine_suffix(*engine)
-        )),
-        RequestBody::Predict { config, engine } => Some(format!(
-            "prd|{}{}",
-            config_bits(config),
-            engine_suffix(*engine)
-        )),
+        } => {
+            key.push_str("sim|");
+            push_config_bits(&mut key, config);
+            let _ = write!(key, "|n:{packets}|s:{seed:016x}");
+            key.push_str(engine_suffix(*engine));
+        }
+        RequestBody::Predict { config, engine } => {
+            key.push_str("prd|");
+            push_config_bits(&mut key, config);
+            key.push_str(engine_suffix(*engine));
+        }
         RequestBody::Tune {
             objective,
             constraints,
             distance_m,
             engine,
-        } => Some(format!(
-            "tun|o:{}{}{}{}",
-            metric_name(*objective),
-            constraints_key(constraints),
-            distance_key(*distance_m),
-            engine_suffix(*engine)
-        )),
+        } => {
+            key.push_str("tun|o:");
+            key.push_str(metric_name(*objective));
+            push_constraints(&mut key, constraints);
+            push_distance(&mut key, *distance_m);
+            key.push_str(engine_suffix(*engine));
+        }
         RequestBody::Pareto {
             metrics,
             distance_m,
@@ -910,14 +920,16 @@ pub fn cache_key(body: &RequestBody) -> Option<String> {
             // Metric order stays in the key: it decides the result's value
             // columns and the front's sort axis, so permutations are
             // different answers (unlike constraint permutations).
-            let names: Vec<&str> = metrics.iter().map(|m| metric_name(*m)).collect();
-            Some(format!(
-                "par|m:{}{}{}{}",
-                names.join(","),
-                distance_key(*distance_m),
-                profile_suffix(*profile),
-                engine_suffix(*engine)
-            ))
+            key.push_str("par|m:");
+            for (i, metric) in metrics.iter().enumerate() {
+                if i > 0 {
+                    key.push(',');
+                }
+                key.push_str(metric_name(*metric));
+            }
+            push_distance(&mut key, *distance_m);
+            key.push_str(profile_suffix(*profile));
+            key.push_str(engine_suffix(*engine));
         }
         RequestBody::Explore {
             objective,
@@ -926,35 +938,38 @@ pub fn cache_key(body: &RequestBody) -> Option<String> {
             distance_m,
             engine,
             profile,
-        } => Some(format!(
-            "xpl|o:{}{}|b:{budget}{}{}{}",
-            metric_name(*objective),
-            constraints_key(constraints),
-            distance_key(*distance_m),
-            profile_suffix(*profile),
-            engine_suffix(*engine)
-        )),
+        } => {
+            key.push_str("xpl|o:");
+            key.push_str(metric_name(*objective));
+            push_constraints(&mut key, constraints);
+            let _ = write!(key, "|b:{budget}");
+            push_distance(&mut key, *distance_m);
+            key.push_str(profile_suffix(*profile));
+            key.push_str(engine_suffix(*engine));
+        }
         RequestBody::Scenario {
             scenario,
             packets,
             seed,
             timeline,
         } => {
-            let mut key = format!("scn|{scenario}|n:{packets}|s:{seed:016x}");
+            let _ = write!(key, "scn|{scenario}|n:{packets}|s:{seed:016x}");
             // Static scenario keys stay byte-identical to the pre-timeline
             // format; a timeline partitions the cache by its canonical
             // digest. An unresolvable spec gets a sentinel key — harmless,
             // because error responses are never cached.
             if let Some(spec) = timeline {
                 match spec.resolve(scenario) {
-                    Ok(timeline) => key.push_str(&format!("|t:{:016x}", timeline.digest())),
+                    Ok(timeline) => {
+                        let _ = write!(key, "|t:{:016x}", timeline.digest());
+                    }
                     Err(_) => key.push_str("|t:invalid"),
                 }
             }
-            Some(key)
         }
-        RequestBody::Stats | RequestBody::Cache { .. } | RequestBody::Shutdown => None,
+        RequestBody::Stats | RequestBody::Cache { .. } | RequestBody::Shutdown => return None,
     }
+    Some(key)
 }
 
 /// Renders a success envelope. `result` is spliced verbatim, so a cached
@@ -1578,6 +1593,48 @@ mod tests {
             parse_request(r#"{"op":"scenario","scenario":"parallel-4","timeline":"blizzard"}"#)
                 .unwrap();
         assert!(cache_key(&bad.body).unwrap().ends_with("|t:invalid"));
+    }
+
+    /// One request per key shape (every op, engine, profile and optional
+    /// run) with its full key, byte for byte. Persisted store records are
+    /// looked up by these strings, so any change to the rendering orphans
+    /// them.
+    const KEY_PINS: [(&str, &str); 12] = [
+        (r#"{"op":"simulate"}"#, "sim|d:4041800000000000,p:23,t:3,r:30,q:30,i:30,l:110|n:400|s:0000000000005eed"),
+        (
+            r#"{"op":"simulate","config":{"distance_m":27.5,"power_level":7,"max_tries":5,"retry_delay_ms":30,"queue_cap":40,"packet_interval_ms":100,"payload_bytes":90},"packets":123,"seed":77,"engine":"fast"}"#,
+            "sim|d:403b800000000000,p:7,t:5,r:30,q:40,i:100,l:90|n:123|s:000000000000004d|e:fast",
+        ),
+        (r#"{"op":"predict"}"#, "prd|d:4041800000000000,p:23,t:3,r:30,q:30,i:30,l:110"),
+        (r#"{"op":"predict","engine":"analytic"}"#, "prd|d:4041800000000000,p:23,t:3,r:30,q:30,i:30,l:110|e:analytic"),
+        (r#"{"op":"tune","objective":"goodput"}"#, "tun|o:goodput|d:-"),
+        (
+            r#"{"op":"tune","objective":"energy","constraints":[{"metric":"loss","max":0.01},{"metric":"delay","max":50.0}],"distance_m":20.0,"engine":"analytic"}"#,
+            "tun|o:energy|c:delay<=4049000000000000|c:loss<=3f847ae147ae147b|d:4034000000000000|e:analytic",
+        ),
+        (r#"{"op":"pareto"}"#, "par|m:energy,goodput|d:-"),
+        (
+            r#"{"op":"pareto","metrics":["goodput","energy","loss"],"distance_m":35.0,"profile":"case-study","engine":"analytic"}"#,
+            "par|m:goodput,energy,loss|d:4041800000000000|v:case-study|e:analytic",
+        ),
+        (r#"{"op":"explore","objective":"energy","budget":500}"#, "xpl|o:energy|b:500|d:-"),
+        (
+            r#"{"op":"explore","objective":"delay","budget":64,"constraints":[{"metric":"loss","max":0.1}],"distance_m":15.0,"profile":"case-study","engine":"fast"}"#,
+            "xpl|o:delay|c:loss<=3fb999999999999a|b:64|d:402e000000000000|v:case-study|e:fast",
+        ),
+        (r#"{"op":"scenario","scenario":"hidden-pair"}"#, "scn|hidden-pair|n:400|s:0000000000005eed"),
+        (
+            r#"{"op":"scenario","scenario":"parallel-4","packets":60,"seed":2,"timeline":"storm20"}"#,
+            "scn|parallel-4|n:60|s:0000000000000002|t:8c26fa92b85960c1",
+        ),
+    ];
+
+    #[test]
+    fn cache_keys_are_pinned_byte_for_byte() {
+        for (line, key) in KEY_PINS {
+            let req = parse_request(line).unwrap_or_else(|r| panic!("{line}: {}", r.error));
+            assert_eq!(cache_key(&req.body).as_deref(), Some(key), "{line}");
+        }
     }
 
     #[test]

@@ -107,7 +107,11 @@ struct ConnState {
     stream: TcpStream,
     handle: Arc<ReactorConn>,
     peer: Arc<str>,
+    /// Received bytes not yet consumed as lines.
     rbuf: Vec<u8>,
+    /// How far into `rbuf` is known to hold no newline, so each received
+    /// byte is scanned for one once.
+    scanned: usize,
     /// Currently registered for `EPOLLOUT` as well as `EPOLLIN`.
     want_write: bool,
     /// Close once the out-buffer drains (EOF seen, fatal protocol error,
@@ -244,6 +248,7 @@ fn shard_loop(epoll: &Epoll, shard: &Arc<ShardShared>, ctx: &Arc<ReactorCtx>, st
                     handle,
                     peer: Arc::from(peer.to_string()),
                     rbuf: Vec::new(),
+                    scanned: 0,
                     want_write: false,
                     draining: false,
                     absorbing: false,
@@ -338,43 +343,47 @@ fn handle_readable(
 }
 
 /// Extracts every complete line from the connection's read buffer and
-/// dispatches it; flags oversized lines for absorption.
+/// dispatches it; flags oversized lines for absorption. Each byte is
+/// scanned for a newline once, and the consumed lines leave the buffer in
+/// one drain per call, so a pipelined burst costs time linear in its size.
 fn process_lines(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
     if conn.draining || conn.absorbing {
         return;
     }
-    loop {
-        match conn.rbuf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let rest = conn.rbuf.split_off(pos + 1);
-                let mut line_bytes = std::mem::replace(&mut conn.rbuf, rest);
-                line_bytes.pop(); // the newline
-                if line_bytes.len() > MAX_LINE_BYTES {
-                    reject_oversized(conn, ctx);
-                    conn.draining = true;
-                    return;
-                }
-                let line = String::from_utf8_lossy(&line_bytes);
-                let sink: Arc<dyn ResponseSink> = conn.handle.clone();
-                // Zero push patience: an event loop must not block on a
-                // full queue, so overload answers `overloaded` at once.
-                match handle_request_line(&line, &sink, &conn.peer, ctx, Duration::ZERO) {
-                    LineDisposition::Continue => {}
-                    LineDisposition::Close => {
-                        conn.draining = true;
-                        return;
-                    }
-                }
-            }
-            None => {
-                if conn.rbuf.len() > MAX_LINE_BYTES {
-                    reject_oversized(conn, ctx);
-                    conn.rbuf.clear();
-                    conn.absorbing = true;
-                }
-                return;
-            }
+    let sink: Arc<dyn ResponseSink> = conn.handle.clone();
+    let mut consumed = 0;
+    while let Some(pos) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
+        let end = conn.scanned + pos;
+        let line_bytes = &conn.rbuf[consumed..end];
+        consumed = end + 1;
+        conn.scanned = consumed;
+        if line_bytes.len() > MAX_LINE_BYTES {
+            reject_oversized(conn, ctx);
+            conn.draining = true;
+            break;
         }
+        let line = String::from_utf8_lossy(line_bytes);
+        // Zero push patience: an event loop must not block on a full
+        // queue, so overload answers `overloaded` at once.
+        if let LineDisposition::Close =
+            handle_request_line(&line, &sink, &conn.peer, ctx, Duration::ZERO)
+        {
+            conn.draining = true;
+            break;
+        }
+    }
+    conn.rbuf.drain(..consumed);
+    conn.scanned = conn.rbuf.len();
+    if conn.rbuf.is_empty() {
+        // Keep at most one read chunk of capacity, so a connection that
+        // once sent a near-cap line does not pin a megabyte while idle.
+        conn.rbuf.shrink_to(READ_CHUNK);
+    }
+    if !conn.draining && conn.rbuf.len() > MAX_LINE_BYTES {
+        reject_oversized(conn, ctx);
+        conn.rbuf.clear();
+        conn.scanned = 0;
+        conn.absorbing = true;
     }
 }
 

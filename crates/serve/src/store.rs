@@ -462,6 +462,37 @@ mod tests {
     }
 
     #[test]
+    fn multibyte_quoted_and_backslashed_bodies_survive_reopen_byte_identically() {
+        let dir = temp_dir("utf8");
+        // Raw 2-, 3- and 4-byte characters next to the quotes and
+        // backslashes the record's JSON string has to escape.
+        let bodies = [
+            (
+                "sim|utf8",
+                "{\"site\":\"Z\u{fc}rich \u{2013} \u{6771}\u{4eac} \u{1F6F0}\",\"q\":\"say \\\"\u{e9}\\\"\"}",
+            ),
+            (
+                "sim|slashes",
+                "{\"path\":\"C:\\\\tmp\\\\\u{20ac}\",\"raw\":\"\\\\\"\u{e9}\\\\\"}",
+            ),
+            ("sim|bare", "\u{1F600}\"\\\u{e9}\\\"\u{20ac}"),
+        ];
+        {
+            let store = Store::open(&dir).expect("open");
+            for (key, body) in bodies {
+                store.append(key, body).expect("append");
+                assert_eq!(store.get(key).as_deref(), Some(body));
+            }
+        }
+        let store = Store::open(&dir).expect("reopen");
+        assert_eq!(store.stats().records, bodies.len() as u64);
+        for (key, body) in bodies {
+            assert_eq!(store.get(key).as_deref(), Some(body), "{key}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn missing_trailing_newline_is_recovered_like_a_torn_tail() {
         let dir = temp_dir("nonewline");
         {

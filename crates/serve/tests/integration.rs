@@ -670,14 +670,25 @@ fn tight_deadline_aborts_a_full_grid_tune_mid_scan() {
 
     // 48,384 golden predictions cannot finish inside 1 ms: the worker
     // must abandon the scan cooperatively and answer with the deadline
-    // code instead of burning the thread to completion.
-    let response = roundtrip(
-        addr,
-        r#"{"id":"hurry","op":"tune","objective":"energy","deadline_ms":1}"#,
-    );
-    assert!(response.contains("\"ok\":false"), "{response}");
-    assert!(response.contains("\"code\":\"deadline\""), "{response}");
-    assert!(response.contains("candidate evaluations"), "{response}");
+    // code instead of burning the thread to completion. On a loaded host
+    // the 1 ms budget can also run out before a worker pops the job; that
+    // queue-expiry form of `deadline` is only a reason to ask again.
+    let mut mid_scan = None;
+    for _ in 0..5 {
+        let response = roundtrip(
+            addr,
+            r#"{"id":"hurry","op":"tune","objective":"energy","deadline_ms":1}"#,
+        );
+        assert!(response.contains("\"ok\":false"), "{response}");
+        assert!(response.contains("\"code\":\"deadline\""), "{response}");
+        assert!(!response.contains("\"cached\":true"), "{response}");
+        if response.contains("candidate evaluations") {
+            mid_scan = Some(response);
+            break;
+        }
+        assert!(response.contains("in the queue"), "{response}");
+    }
+    assert!(mid_scan.is_some(), "no mid-scan abort in 5 attempts");
 
     // The abort is not cached: with a sane deadline the same question
     // computes and answers.
@@ -1015,4 +1026,134 @@ fn shutdown_disconnects_a_client_that_keeps_sending_hits() {
 #[test]
 fn shutdown_disconnects_a_client_that_keeps_sending_hits_on_threads_model() {
     shutdown_disconnects_a_client_that_keeps_sending_hits_on(wsn_serve::IoModel::Threads);
+}
+
+/// A request line of exactly `len` bytes (newline excluded) whose `id` is
+/// one long string of 2- and 3-byte UTF-8 characters; returns the line
+/// and the id's JSON text as the envelope must echo it.
+fn long_id_line(len: usize) -> (String, String) {
+    let head = r#"{"op":"predict","engine":"analytic","id":""#;
+    let tail = r#""}"#;
+    let mut id = String::new();
+    while head.len() + id.len() + tail.len() < len {
+        let room = len - head.len() - id.len() - tail.len();
+        id.push_str(match room {
+            1 => "x",
+            2 => "\u{e9}",
+            _ => "\u{20ac}",
+        });
+    }
+    let line = format!("{head}{id}{tail}");
+    assert_eq!(line.len(), len);
+    (line, format!("\"{id}\""))
+}
+
+/// Sends `line` in `chunk`-byte writes (the whole line in one write when
+/// `chunk` is its length), then a short request behind it; both answers
+/// must come back whole and in order. The key is warmed first, so both
+/// are memory-tier hits answered in arrival order.
+fn long_line_is_answered_whole_on(io_model: wsn_serve::IoModel, chunk: usize) {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        io_model,
+        ..ServerConfig::default()
+    });
+    let (line, id) = long_id_line(wsn_serve::protocol::MAX_LINE_BYTES - 16);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let warm = request_on(
+        &mut stream,
+        r#"{"id":"warm","op":"predict","engine":"analytic"}"#,
+    );
+    assert!(warm.contains("\"cached\":false"), "{warm}");
+    for piece in line.as_bytes().chunks(chunk) {
+        stream.write_all(piece).expect("send chunk");
+    }
+    stream
+        .write_all(b"\n{\"id\":\"after\",\"op\":\"predict\",\"engine\":\"analytic\"}\n")
+        .expect("send tail");
+
+    let answers = read_lines(&stream, 2);
+    assert!(
+        answers[0].starts_with(&format!(
+            "{{\"proto\":1,\"id\":{id},\"op\":\"predict\",\"ok\":true,"
+        )),
+        "long id not echoed byte for byte ({} bytes back)",
+        answers[0].len()
+    );
+    assert!(answers[1].contains("\"id\":\"after\""), "{}", answers[1]);
+    for answer in &answers {
+        let bytes = answer.len();
+        assert!(
+            answer.contains("\"cached\":true"),
+            "not a hit ({bytes} bytes)"
+        );
+        assert_eq!(result_part(answer), result_part(&warm));
+    }
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn string_id_just_under_the_line_cap_is_echoed_byte_for_byte() {
+    let len = wsn_serve::protocol::MAX_LINE_BYTES;
+    long_line_is_answered_whole_on(wsn_serve::IoModel::Epoll, len);
+}
+
+#[test]
+fn string_id_just_under_the_line_cap_is_echoed_byte_for_byte_on_threads_model() {
+    let len = wsn_serve::protocol::MAX_LINE_BYTES;
+    long_line_is_answered_whole_on(wsn_serve::IoModel::Threads, len);
+}
+
+#[test]
+fn line_just_under_the_cap_sent_in_small_chunks_is_framed_whole() {
+    long_line_is_answered_whole_on(wsn_serve::IoModel::Epoll, 1000);
+}
+
+#[test]
+fn pipelined_burst_in_one_write_is_answered_in_order() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        io_model: wsn_serve::IoModel::Epoll,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let warm = request_on(
+        &mut stream,
+        r#"{"id":"warm","op":"predict","engine":"analytic"}"#,
+    );
+    assert!(warm.contains("\"cached\":false"), "{warm}");
+
+    // 200 lines of ~170 bytes: the burst spans several 16 KiB reads, so
+    // lines straddle read boundaries as well as sharing them.
+    const LINES: usize = 200;
+    let pad = "p".repeat(120);
+    let burst: String = (0..LINES)
+        .map(|i| {
+            format!(
+                "{{\"id\":\"burst-{i:03}-{pad}\",\"op\":\"predict\",\"engine\":\"analytic\"}}\n"
+            )
+        })
+        .collect();
+    assert!(burst.len() > 2 * 16 * 1024, "{} bytes", burst.len());
+    stream.write_all(burst.as_bytes()).expect("send burst");
+
+    let answers = read_lines(&stream, LINES);
+    for (i, answer) in answers.iter().enumerate() {
+        assert!(
+            answer.contains(&format!("\"id\":\"burst-{i:03}-{pad}\",")),
+            "answer {i} out of order: {answer}"
+        );
+        assert!(answer.contains("\"cached\":true"), "{answer}");
+        assert_eq!(result_part(answer), result_part(&warm));
+    }
+
+    shutdown(addr, handle);
 }
