@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 use crate::cache::fnv1a;
 
@@ -31,9 +31,10 @@ use crate::cache::fnv1a;
 /// per-segment reader handles cheap without fragmenting small stores.
 const DEFAULT_ROLL_BYTES: u64 = 4 << 20;
 
-/// One persisted record. Bodies are stored verbatim as JSON strings, so
-/// the round-trip through the vendored serializer is byte-exact.
-#[derive(Debug, Serialize, Deserialize)]
+/// One persisted record, as read back. Bodies are stored verbatim as JSON
+/// strings, so the round-trip through the vendored JSON writer and parser
+/// is byte-exact; [`Store::append`] writes the same shape field by field.
+#[derive(Debug, Deserialize)]
 struct StoreRecord {
     k: String,
     v: String,
@@ -249,19 +250,29 @@ impl Store {
     }
 
     /// Appends a record, rolling to a fresh segment past the threshold.
-    /// The line is flushed before the index learns about it, so a reader
-    /// never sees a location that is not yet durable in the file.
+    /// The whole line is handed to the kernel in one `write_all` before
+    /// the index learns about it, so a reader never sees a location that
+    /// `pread` cannot return in full, and the record survives a kill of
+    /// this process from then on. There is no `fsync`: a power loss or
+    /// kernel crash may still drop the most recent records, or leave a
+    /// torn tail that the next open truncates.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the segment write or roll; the store
     /// stays usable (the failed record is simply not indexed).
     pub fn append(&self, key: &str, body: &str) -> std::io::Result<()> {
-        let mut line = serde_json::to_string(&StoreRecord {
-            k: key.to_string(),
-            v: body.to_string(),
-        })
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        // `{"k":…,"v":…}` written straight from the borrowed strings,
+        // without copying the key and body into a `StoreRecord` first.
+        // A JSON body grows by one escape byte per quote it contains.
+        let mut line = String::with_capacity(key.len() + body.len() + body.len() / 4 + 16);
+        let mut w = serde::Writer::compact(&mut line);
+        w.begin_object();
+        w.key("k");
+        w.str(key);
+        w.key("v");
+        w.str(body);
+        w.end_object();
         line.push('\n');
 
         let mut inner = self.inner.lock().expect("store lock");
@@ -279,7 +290,6 @@ impl Store {
             len: line.len() as u32,
         };
         inner.active.write_all(line.as_bytes())?;
-        inner.active.flush()?;
         inner.active_len += line.len() as u64;
         inner.total_bytes += line.len() as u64;
         inner.records += 1;
