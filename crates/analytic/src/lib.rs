@@ -56,7 +56,7 @@
 pub mod math;
 pub mod table;
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -81,10 +81,17 @@ pub mod prelude {
     pub use crate::{evaluate, AnalyticLinkSimulation, AnalyticOutcome, AnalyticReport};
 }
 
-/// Quadrature resolution over the shadowing marginal.
-const SHADOW_NODES: usize = 17;
-/// Quadrature resolution over each noise-mixture component.
-const NOISE_NODES: usize = 17;
+/// Quadrature resolution over the shadowing marginal and over each
+/// noise-mixture component.
+const QUADRATURE_NODES: usize = 17;
+
+/// The standard-normal quadrature nodes of [`QUADRATURE_NODES`] points.
+/// They depend on nothing else, so they are built once per process rather
+/// than in every evaluation.
+fn quadrature_nodes() -> &'static [(f64, f64)] {
+    static NODES: OnceLock<Vec<(f64, f64)>> = OnceLock::new();
+    NODES.get_or_init(|| math::std_normal_nodes(QUADRATURE_NODES))
+}
 
 /// The CCA retry budget, mirroring `wsn_mac::transaction::MAX_CCA_RETRIES`
 /// (and the fast engine's copy of it).
@@ -353,12 +360,12 @@ pub fn evaluate(
 
     // ── attempt-success probabilities under shadowing × noise ────────
     let comps = noise_components(channel);
-    let noise_nodes = math::std_normal_nodes(NOISE_NODES);
+    let noise_nodes = quadrature_nodes();
     let sigma_sh = budget.sigma_db;
-    let shadow_nodes: Vec<(f64, f64)> = if sigma_sh > 0.0 {
-        math::std_normal_nodes(SHADOW_NODES)
+    let shadow_nodes: &[(f64, f64)] = if sigma_sh > 0.0 {
+        noise_nodes
     } else {
-        vec![(0.0, 1.0)]
+        &[(0.0, 1.0)]
     };
 
     // Mean *observed* noise floor (interference lift included), for the
@@ -373,7 +380,7 @@ pub fn evaluate(
             };
             mean_noise_dbm += c.weight * v;
         } else {
-            for &(z, w) in &noise_nodes {
+            for &(z, w) in noise_nodes {
                 let raw = c.mean_dbm + z * c.sigma_db;
                 let v = if c.interfered {
                     channel.interference.effective_noise_dbm(raw)
@@ -394,7 +401,7 @@ pub fn evaluate(
     let mut e_copies = 0.0; // E[delivered copies]
     let mut snr_wsum = 0.0; // Σ w·E[A|X]·SNR(X)
     let mut rssi_wsum = 0.0; // Σ w·E[A|X]·RSSI(X)
-    for &(z, wx) in &shadow_nodes {
+    for &(z, wx) in shadow_nodes {
         let rssi_dbm = budget.mean_rssi_dbm + z * sigma_sh;
         // Per-attempt success probabilities at this shadowing level.
         let mut p_data = 0.0; // data frame received
@@ -419,7 +426,7 @@ pub fn evaluate(
             if c.sigma_db == 0.0 {
                 fold(c.mean_dbm, c.weight);
             } else {
-                for &(zn, wn) in &noise_nodes {
+                for &(zn, wn) in noise_nodes {
                     fold(c.mean_dbm + zn * c.sigma_db, c.weight * wn);
                 }
             }

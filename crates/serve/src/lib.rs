@@ -40,15 +40,18 @@
 //! on the front-end thread, which also builds the request's cache key
 //! (the canonical bit pattern of every parameter) and probes the memory
 //! tier of the result cache with it: a hit is answered right there,
-//! without touching the queue or a worker. Everything else — misses,
-//! expired requests, and the keyless control ops — is pushed onto a
-//! bounded [`queue::JobQueue`]; a fixed worker pool pops jobs, consults
-//! the tiered result cache again (the sharded in-memory [`cache`] over the
-//! optional persistent [`store`]), executes misses through the shared
-//! [`engine::Engine`], and sends the response line back through the
-//! connection's sink. `shutdown` closes the queue: pending jobs still get
-//! answers, later lines (hits included) are refused and their connections
-//! closed, then everything drains and `run` returns.
+//! without touching the queue or a worker, and so is a miss of bounded
+//! cost (every `predict`, and a `simulate` that is analytic or carries at
+//! most [`INLINE_MAX_PACKETS`] packets). Everything else — long
+//! simulations, grid scans, scenarios, expired requests, and the keyless
+//! control ops — is pushed onto a bounded [`queue::JobQueue`]; a fixed
+//! worker pool pops jobs, consults the tiered result cache again (the
+//! sharded in-memory [`cache`] over the optional persistent [`store`]),
+//! executes misses through the shared [`engine::Engine`], and sends the
+//! response line back through the connection's sink. `shutdown` closes
+//! the queue: pending jobs still get answers, later lines (hits included)
+//! are refused and their connections closed, then everything drains and
+//! `run` returns.
 
 #![deny(unsafe_code)] // unsafe lives only in `sys`, behind its own allow
 #![warn(missing_docs)]
@@ -71,8 +74,9 @@ use std::time::{Duration, Instant};
 
 use wsn_obs::log::EventLog;
 use wsn_obs::trace::TraceIdGen;
+use wsn_sim_engine::mode::EngineMode;
 
-use crate::engine::{Answer, Engine};
+use crate::engine::{Answer, Engine, ExecError};
 use crate::protocol::{
     cache_key, envelope_err, envelope_ok, parse_request, ErrCode, Request, RequestBody,
 };
@@ -179,7 +183,7 @@ struct ServeObs {
 }
 
 /// Everything a connection front-end needs to turn a request line into an
-/// inline cache answer or a queued job — shared by the blocking reader
+/// inline answer or a queued job — shared by the blocking reader
 /// threads and the reactor shards, so both io-models validate, answer,
 /// enqueue, and account identically.
 #[derive(Debug)]
@@ -542,36 +546,82 @@ fn log_request(
         .emit();
 }
 
-/// Records a request answered `ok`: its execution sample, its access-log
-/// record and, past the threshold, a `slow_request` warning. Shared by
-/// worker answers and the front end's inline hits.
-fn record_ok(
+/// Sends the answer to one executed request and accounts for it: the `ok`
+/// or error envelope, the stats sample, the access-log record and, past the
+/// threshold, a `slow_request` warning. The one answer path shared by
+/// worker jobs and the front end's inline answers (memory-tier hits and
+/// bounded-cost misses); `exec_us`, the envelope's `service_us`, runs from
+/// `started` to the answer.
+fn respond(
     engine: &Engine,
     obs: &ServeObs,
     job: &Job,
-    answer: &Answer,
+    result: Result<Answer, ExecError>,
+    started: Instant,
     queue_wait_us: u64,
-    exec_us: u64,
 ) {
-    engine.stats.record_done(job.request.op, true, exec_us);
-    log_request(
-        obs,
-        job,
-        "ok",
-        true,
-        answer.cached,
-        queue_wait_us,
-        exec_us,
-        answer.body.len(),
-    );
-    if obs.slow_us > 0 && exec_us >= obs.slow_us {
-        obs.log
-            .warn("slow_request")
-            .str("trace", &job.trace)
-            .str("op", job.request.op.name())
-            .u64("exec_us", exec_us)
-            .u64("threshold_us", obs.slow_us)
-            .emit();
+    let exec_us = started.elapsed().as_micros() as u64;
+    let (id, op, trace) = (&job.request.id, job.request.op, job.trace.as_str());
+    match result {
+        Ok(answer) => {
+            job.conn.send_line(&envelope_ok(
+                id,
+                op,
+                answer.cached,
+                exec_us,
+                trace,
+                &answer.body,
+            ));
+            engine.stats.record_done(op, true, exec_us);
+            log_request(
+                obs,
+                job,
+                "ok",
+                true,
+                answer.cached,
+                queue_wait_us,
+                exec_us,
+                answer.body.len(),
+            );
+            if obs.slow_us > 0 && exec_us >= obs.slow_us {
+                obs.log
+                    .warn("slow_request")
+                    .str("trace", trace)
+                    .str("op", op.name())
+                    .u64("exec_us", exec_us)
+                    .u64("threshold_us", obs.slow_us)
+                    .emit();
+            }
+        }
+        Err(error) => {
+            job.conn.send_line(&envelope_err(
+                id,
+                Some(op),
+                Some(trace),
+                error.code,
+                &error.message,
+            ));
+            // A scan the engine aborted cooperatively counts with the
+            // jobs that died in the queue, not as an executed error —
+            // both are the same client-visible contract (`deadline`),
+            // and its partial exec time would poison the quantiles.
+            if error.code == ErrCode::Deadline {
+                engine.stats.record_deadline_exceeded(op);
+                log_request(
+                    obs,
+                    job,
+                    "deadline_exceeded",
+                    false,
+                    false,
+                    queue_wait_us,
+                    exec_us,
+                    0,
+                );
+            } else {
+                engine.stats.record_done(op, false, exec_us);
+                log_request(obs, job, "error", false, false, queue_wait_us, exec_us, 0);
+            }
+        }
     }
 }
 
@@ -623,73 +673,20 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
             continue;
         }
 
-        if matches!(job.request.body, RequestBody::Shutdown) {
-            let body = "{\"shutting_down\":true}";
-            let exec_us = popped.elapsed().as_micros() as u64;
-            job.conn
-                .send_line(&envelope_ok(id, op, false, exec_us, trace, body));
-            engine.stats.record_done(op, true, exec_us);
-            log_request(
-                obs,
-                &job,
-                "ok",
-                true,
-                false,
-                queue_wait_us,
-                exec_us,
-                body.len(),
-            );
+        let result = if matches!(job.request.body, RequestBody::Shutdown) {
+            // Raised before the answer goes out, so a client that has seen
+            // it can rely on every later line being refused.
             shutdown.store(true, Ordering::SeqCst);
             queue.close();
-            continue;
-        }
-
-        let key = job.key.take();
-        match engine.execute_keyed(&job.request.body, key, Some(job.deadline)) {
-            Ok(answer) => {
-                let exec_us = popped.elapsed().as_micros() as u64;
-                job.conn.send_line(&envelope_ok(
-                    id,
-                    op,
-                    answer.cached,
-                    exec_us,
-                    trace,
-                    &answer.body,
-                ));
-                record_ok(engine, obs, &job, &answer, queue_wait_us, exec_us);
-            }
-            Err(error) => {
-                let exec_us = popped.elapsed().as_micros() as u64;
-                let expired_mid_scan = error.code == ErrCode::Deadline;
-                job.conn.send_line(&envelope_err(
-                    id,
-                    Some(op),
-                    Some(trace),
-                    error.code,
-                    &error.message,
-                ));
-                // A scan the engine aborted cooperatively counts with the
-                // jobs that died in the queue, not as an executed error —
-                // both are the same client-visible contract (`deadline`),
-                // and its partial exec time would poison the quantiles.
-                if expired_mid_scan {
-                    engine.stats.record_deadline_exceeded(op);
-                    log_request(
-                        obs,
-                        &job,
-                        "deadline_exceeded",
-                        false,
-                        false,
-                        queue_wait_us,
-                        exec_us,
-                        0,
-                    );
-                } else {
-                    engine.stats.record_done(op, false, exec_us);
-                    log_request(obs, &job, "error", false, false, queue_wait_us, exec_us, 0);
-                }
-            }
-        }
+            Ok(Answer {
+                body: Arc::new("{\"shutting_down\":true}".to_string()),
+                cached: false,
+            })
+        } else {
+            let key = job.key.take();
+            engine.execute_keyed(&job.request.body, key, Some(job.deadline))
+        };
+        respond(engine, obs, &job, result, popped, queue_wait_us);
     }
 }
 
@@ -701,19 +698,47 @@ pub(crate) enum LineDisposition {
     Close,
 }
 
-/// Validates one request line, then answers it from the memory tier or
-/// enqueues it — the single path shared by both io-models, so they
-/// reject, answer, account, and log identically. The only model-specific
-/// choice is `patience`: how long a full queue may block the caller (2 s
-/// for a dedicated reader thread, zero for an event-loop shard).
+/// Most packets a golden or fast `simulate` may carry and still be
+/// executed on the front-end thread when it misses the memory tier. A
+/// 100-packet golden miss takes 32 µs at the median and 44 µs at p90
+/// (release build, 2-vCPU VM), which bounds how long an inline miss keeps
+/// a reactor shard from its other connections.
+pub const INLINE_MAX_PACKETS: u64 = 100;
+
+/// Whether a request that missed the memory tier is cheap enough to run on
+/// the front-end thread: every `predict`, an analytic `simulate`, and a
+/// golden or fast `simulate` of at most [`INLINE_MAX_PACKETS`] packets.
+/// Everything else (long simulations, scans, scenarios, control ops) takes
+/// the queue.
+fn runs_inline(body: &RequestBody) -> bool {
+    match body {
+        RequestBody::Predict { .. } => true,
+        RequestBody::Simulate {
+            engine: EngineMode::Analytic,
+            ..
+        } => true,
+        RequestBody::Simulate { packets, .. } => *packets <= INLINE_MAX_PACKETS,
+        _ => false,
+    }
+}
+
+/// Validates one request line, then answers it on the spot or enqueues it
+/// — the single path shared by both io-models, so they reject, answer,
+/// account, and log identically. The only model-specific choice is
+/// `patience`: how long a full queue may block the caller (2 s for a
+/// dedicated reader thread, zero for an event-loop shard).
 ///
-/// A memory-tier hit is answered on the calling thread: its envelope's
-/// `service_us` runs from the probe to the answer, it draws an execution
-/// sample but no queue-wait sample, and its access-log record carries
-/// `queue_wait_us:0`. The probe counts only hits; a miss is counted by
-/// the worker's own lookup, so each request counts exactly one of the
-/// two. Expired requests are never probed (they take the queue and draw
-/// the `deadline` error), and keyless control ops always take the queue.
+/// Unless the request has expired or a `shutdown` has run, two kinds of
+/// request are answered on the calling thread through [`respond`]: a
+/// memory-tier hit, and a miss that [`runs_inline`] (executed through
+/// [`Engine::execute_keyed`] right here). Either one's `service_us` runs
+/// from the start of the probe or of the execution to the answer; it draws
+/// an execution sample but no queue-wait sample, and its access-log record
+/// carries `queue_wait_us:0`. The probe counts only hits; a miss is counted
+/// by `execute_keyed`'s own lookup, inline or on a worker, so each request
+/// counts exactly one of the two. Expired requests are never probed (they
+/// take the queue and draw the `deadline` error), and keyless control ops
+/// always take the queue.
 pub(crate) fn handle_request_line(
     line: &str,
     sink: &Arc<dyn ResponseSink>,
@@ -748,7 +773,7 @@ pub(crate) fn handle_request_line(
         }
     };
     let budget_ms = request.deadline_ms.unwrap_or(ctx.default_deadline_ms);
-    let job = Job {
+    let mut job = Job {
         key: cache_key(&request.body),
         deadline: started + Duration::from_millis(budget_ms),
         conn: Arc::clone(sink),
@@ -757,23 +782,25 @@ pub(crate) fn handle_request_line(
         peer: Arc::clone(peer),
         request,
     };
-    if let Some(key) = &job.key {
-        let probed = Instant::now();
-        if probed < job.deadline && !ctx.shutdown.load(Ordering::Relaxed) {
-            if let Some(body) = ctx.engine.cache.probe(key) {
-                let exec_us = probed.elapsed().as_micros() as u64;
-                job.conn.send_line(&envelope_ok(
-                    &job.request.id,
-                    job.request.op,
-                    true,
-                    exec_us,
-                    &job.trace,
-                    &body,
-                ));
-                let answer = Answer { body, cached: true };
-                record_ok(&ctx.engine, &ctx.obs, &job, &answer, 0, exec_us);
-                return LineDisposition::Continue;
-            }
+    let probed = Instant::now();
+    if probed < job.deadline && !ctx.shutdown.load(Ordering::Relaxed) {
+        if let Some(body) = job
+            .key
+            .as_deref()
+            .and_then(|key| ctx.engine.cache.probe(key))
+        {
+            let hit = Ok(Answer { body, cached: true });
+            respond(&ctx.engine, &ctx.obs, &job, hit, probed, 0);
+            return LineDisposition::Continue;
+        }
+        if runs_inline(&job.request.body) {
+            let started = Instant::now();
+            let key = job.key.take();
+            let result = ctx
+                .engine
+                .execute_keyed(&job.request.body, key, Some(job.deadline));
+            respond(&ctx.engine, &ctx.obs, &job, result, started, 0);
+            return LineDisposition::Continue;
         }
     }
     ctx.engine.stats.record_enqueued();

@@ -6,10 +6,11 @@
 //!
 //! * `exec_us` — pop-to-answer execution time of requests that actually
 //!   ran (parse time and queue time excluded, deadline-expired jobs
-//!   excluded), plus probe-to-answer time of memory-tier hits the front
-//!   end answered inline.
+//!   excluded), plus the probe-to-answer time of memory-tier hits and the
+//!   execution-to-answer time of bounded-cost misses the front end
+//!   answered inline.
 //! * `queue_wait_us` — enqueue-to-pop wait of every job a worker popped,
-//!   including ones that then died of their deadline. Inline hits never
+//!   including ones that then died of their deadline. Inline answers never
 //!   queue and draw no sample here.
 //!
 //! Keeping the two apart is the point: under overload the old combined
@@ -108,7 +109,8 @@ impl ServeStats {
 
     /// A request ran to completion: its op, whether it produced an error
     /// response, and its execution time (pop-to-answer for a worker,
-    /// probe-to-answer for an inline memory-tier hit).
+    /// probe-to-answer for an inline memory-tier hit, execution-to-answer
+    /// for an inline miss).
     pub fn record_done(&self, op: Op, ok: bool, exec_us: u64) {
         self.requests.inc();
         if !ok {

@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use wsn_serve::{Server, ServerConfig};
+use wsn_serve::{Server, ServerConfig, INLINE_MAX_PACKETS};
 
 /// Starts a server on an ephemeral port and returns its address plus the
 /// handle that joins `run()`.
@@ -468,29 +468,24 @@ fn pending_requests_are_answered_before_shutdown_completes() {
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
 
-    // A slow job, a queued fast job, then shutdown — all three answered.
+    // A slow queued job, a cheap predict (answered on the front end, so
+    // it may overtake the slow one), then shutdown — all three answered,
+    // and the shutdown, queued behind the slow job, last.
     writeln!(stream, r#"{{"id":"a","op":"simulate","packets":20000}}"#).unwrap();
     writeln!(stream, r#"{{"id":"b","op":"predict"}}"#).unwrap();
     writeln!(stream, r#"{{"id":"c","op":"shutdown"}}"#).unwrap();
 
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut seen = Vec::new();
-    for _ in 0..3 {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("response");
-        seen.push(line);
+    let seen = read_lines(&stream, 3);
+    for id in ["a", "b"] {
+        let answers: Vec<&String> = seen[..2]
+            .iter()
+            .filter(|l| l.contains(&format!("\"id\":\"{id}\"")))
+            .collect();
+        assert_eq!(answers.len(), 1, "{id}: {seen:?}");
+        assert!(answers[0].contains("\"ok\":true"), "{seen:?}");
     }
-    assert!(
-        seen[0].contains("\"id\":\"a\"") && seen[0].contains("\"ok\":true"),
-        "{:?}",
-        seen
-    );
-    assert!(
-        seen[1].contains("\"id\":\"b\"") && seen[1].contains("\"ok\":true"),
-        "{:?}",
-        seen
-    );
-    assert!(seen[2].contains("shutting_down"), "{:?}", seen);
+    assert!(seen[2].contains("\"id\":\"c\""), "{seen:?}");
+    assert!(seen[2].contains("shutting_down"), "{seen:?}");
 
     handle.join().expect("server thread").expect("clean exit");
 }
@@ -543,7 +538,8 @@ fn every_envelope_leads_with_proto_1_and_other_protos_are_refused() {
 #[test]
 fn flooding_a_tiny_queue_draws_overloaded_codes_not_hangs() {
     // Depth-1 queue behind one worker on the event-loop front-end, which
-    // pushes with zero patience: pipelining a slow job plus a burst must
+    // pushes with zero patience: pipelining a slow job plus a burst of
+    // queue-bound simulations (too long to run on the front end) must
     // bounce at least one request with `overloaded`, and every request
     // still gets exactly one response line.
     let (addr, handle) = start(ServerConfig {
@@ -561,7 +557,7 @@ fn flooding_a_tiny_queue_draws_overloaded_codes_not_hangs() {
     .expect("send slow");
     const BURST: usize = 8;
     for i in 0..BURST {
-        writeln!(stream, r#"{{"id":"b{i}","op":"predict"}}"#).expect("send burst");
+        writeln!(stream, r#"{{"id":"b{i}","op":"simulate","packets":1000}}"#).expect("send burst");
     }
 
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
@@ -829,52 +825,78 @@ fn inline_hits_and_queued_misses_each_count_exactly_once() {
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
-    const MISSES: usize = 3;
-    const HITS: usize = 5;
-    for m in 0..MISSES {
-        let line = format!(
+    // Predicts miss inline on the front end; simulations longer than the
+    // inline bound miss on the worker.
+    let inline_miss = |m: usize| {
+        format!(
             r#"{{"id":{m},"op":"predict","config":{{"power_level":{}}}}}"#,
             3 + 4 * m
-        );
-        let response = request_on(&mut stream, &line);
+        )
+    };
+    let queued_miss = |m: usize| {
+        format!(
+            r#"{{"id":{m},"op":"simulate","packets":{},"config":{{"power_level":{}}}}}"#,
+            INLINE_MAX_PACKETS + 100,
+            3 + 4 * m
+        )
+    };
+    const INLINE_MISSES: usize = 3;
+    const QUEUED_MISSES: usize = 2;
+    const HITS: usize = 5;
+    for m in 0..INLINE_MISSES {
+        let response = request_on(&mut stream, &inline_miss(m));
+        assert!(response.contains("\"cached\":false"), "{response}");
+    }
+    for m in 0..QUEUED_MISSES {
+        let response = request_on(&mut stream, &queued_miss(m));
         assert!(response.contains("\"cached\":false"), "{response}");
     }
     for h in 0..HITS {
-        let line = format!(
-            r#"{{"id":{h},"op":"predict","config":{{"power_level":{}}}}}"#,
-            3 + 4 * (h % MISSES)
-        );
+        let line = if h % 2 == 0 {
+            inline_miss(h % INLINE_MISSES)
+        } else {
+            queued_miss(h % QUEUED_MISSES)
+        };
         let response = request_on(&mut stream, &line);
         assert!(response.contains("\"cached\":true"), "{response}");
     }
 
+    let misses = INLINE_MISSES + QUEUED_MISSES;
     let cache = request_on(&mut stream, r#"{"op":"cache"}"#);
     assert!(
         cache.contains(&format!(
-            "\"mem\":{{\"entries\":{MISSES},\"hits\":{HITS},\"misses\":{MISSES},"
+            "\"mem\":{{\"entries\":{misses},\"hits\":{HITS},\"misses\":{misses},"
         )),
         "{cache}"
     );
 
     let stats = request_on(&mut stream, r#"{"op":"stats"}"#);
-    // Every predict plus the cache op finished before the stats op ran …
-    let answered = MISSES + HITS + 1;
+    // Every request plus the cache op finished before the stats op ran …
+    let answered = misses + HITS + 1;
     assert!(
         stats.contains(&format!("\"requests\":{answered},")),
         "{stats}"
     );
     assert!(
-        stats.contains(&format!("\"predict\":{},", MISSES + HITS)),
+        stats.contains(&format!(
+            "\"simulate\":{},\"predict\":{},",
+            QUEUED_MISSES + HITS / 2,
+            INLINE_MISSES + HITS.div_ceil(2)
+        )),
         "{stats}"
     );
-    // … and each drew one execution sample, inline hits included …
+    // … and each drew one execution sample, inline answers included …
     assert!(
         stats.contains(&format!("\"exec_us\":{{\"count\":{answered},")),
         "{stats}"
     );
-    // … but only the queued jobs (misses, cache, this stats op) waited.
+    // … but only the queued jobs (the long misses, cache, this stats op)
+    // waited.
     assert!(
-        stats.contains(&format!("\"queue_wait_us\":{{\"count\":{},", MISSES + 2)),
+        stats.contains(&format!(
+            "\"queue_wait_us\":{{\"count\":{},",
+            QUEUED_MISSES + 2
+        )),
         "{stats}"
     );
 
@@ -1156,4 +1178,194 @@ fn pipelined_burst_in_one_write_is_answered_in_order() {
     }
 
     shutdown(addr, handle);
+}
+
+/// The server's `stats` answer on `stream`, and its queue-wait count (the
+/// stats op itself is one of the queued jobs it counts).
+fn queue_wait_count(stream: &mut TcpStream) -> u64 {
+    let stats = request_on(stream, r#"{"op":"stats"}"#);
+    let tail = &stats[stats.find("\"queue_wait_us\":{\"count\":").expect("stats") + 25..];
+    tail[..tail.find(',').unwrap()].parse().unwrap()
+}
+
+#[test]
+fn inline_miss_writes_one_access_log_record_with_zero_queue_wait() {
+    let path = std::env::temp_dir().join(format!(
+        "wsn-serve-inline-miss-access-{}.jsonl",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        access_log: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let miss = request_on(
+        &mut stream,
+        r#"{"id":"m","op":"simulate","packets":60,"engine":"fast"}"#,
+    );
+    assert!(miss.contains("\"cached\":false"), "{miss}");
+    let stats = request_on(&mut stream, r#"{"op":"stats"}"#);
+    // One execution sample (the miss), one queue-wait sample (this stats
+    // op): the miss never queued.
+    assert!(stats.contains("\"exec_us\":{\"count\":1,"), "{stats}");
+    assert!(stats.contains("\"queue_wait_us\":{\"count\":1,"), "{stats}");
+    shutdown(addr, handle);
+
+    let text = std::fs::read_to_string(&path).expect("access log exists");
+    let trace = format!("\"trace\":\"{}\"", trace_of(&miss));
+    let records: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"event\":\"request\"") && l.contains(&trace))
+        .collect();
+    assert_eq!(records.len(), 1, "{trace} in {text}");
+    for field in [
+        "\"op\":\"simulate\"",
+        "\"outcome\":\"ok\"",
+        "\"cached\":false",
+        "\"queue_wait_us\":0,",
+    ] {
+        assert!(
+            records[0].contains(field),
+            "missing {field}: {}",
+            records[0]
+        );
+    }
+
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn simulations_up_to_the_inline_bound_skip_the_queue() {
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let simulate = |packets: u64, engine: &str| {
+        format!(r#"{{"id":1,"op":"simulate","packets":{packets},"engine":"{engine}"}}"#)
+    };
+    // At the bound, golden and fast run inline; analytic runs inline at
+    // any length. Only the stats op queues.
+    for line in [
+        simulate(INLINE_MAX_PACKETS, "golden"),
+        simulate(INLINE_MAX_PACKETS, "fast"),
+        simulate(50_000, "analytic"),
+    ] {
+        let response = request_on(&mut stream, &line);
+        assert!(response.contains("\"cached\":false"), "{response}");
+    }
+    assert_eq!(queue_wait_count(&mut stream), 1);
+    // One packet more, and both sampling engines queue.
+    for engine in ["golden", "fast"] {
+        let response = request_on(&mut stream, &simulate(INLINE_MAX_PACKETS + 1, engine));
+        assert!(response.contains("\"cached\":false"), "{response}");
+    }
+    assert_eq!(queue_wait_count(&mut stream), 1 + 2 + 1);
+
+    shutdown(addr, handle);
+}
+
+fn cheap_line_after_shutdown_is_refused_on(io_model: wsn_serve::IoModel) {
+    // Two workers: one stays busy with a slow simulation, so the server
+    // keeps serving connections after the other one has run the shutdown.
+    let (addr, handle) = start(ServerConfig {
+        threads: 2,
+        io_model,
+        ..ServerConfig::default()
+    });
+    let mut late = TcpStream::connect(addr).expect("connect");
+    late.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let warm = request_on(&mut late, r#"{"id":"warm","op":"predict"}"#);
+    assert!(warm.contains("\"ok\":true"), "{warm}");
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    writeln!(
+        slow,
+        r#"{{"id":"slow","op":"simulate","packets":50000,"config":{{"distance_m":35.0,"power_level":3}}}}"#
+    )
+    .expect("send slow");
+    // Answered while the slow job runs: the slow job is queued by now.
+    let stats = request_on(&mut slow, r#"{"op":"stats"}"#);
+    assert!(stats.contains("\"op\":\"stats\""), "{stats}");
+    let response = roundtrip(addr, r#"{"op":"shutdown"}"#);
+    assert!(response.contains("shutting_down"), "{response}");
+
+    // A fresh cheap miss is not run on the front end once the shutdown
+    // has been answered: it draws the shutting-down error.
+    writeln!(
+        late,
+        r#"{{"id":"late","op":"predict","engine":"analytic"}}"#
+    )
+    .expect("send late");
+    let mut refusal = String::new();
+    let read = BufReader::new(late.try_clone().expect("clone")).read_line(&mut refusal);
+    match (io_model, read) {
+        // A blocking reader polling between lines may see the shutdown
+        // while idle and close the connection without reading the line;
+        // it never answers it.
+        (wsn_serve::IoModel::Threads, Ok(0)) => {}
+        (_, Ok(_)) => {
+            assert!(refusal.contains("\"code\":\"overloaded\""), "{refusal}");
+            assert!(refusal.contains("server is shutting down"), "{refusal}");
+        }
+        (_, Err(e)) => panic!("late line neither answered nor closed: {e}"),
+    }
+
+    // The slow job still completes, and then the server exits.
+    let answer = read_response(&mut slow);
+    assert!(answer.contains("\"id\":\"slow\""), "{answer}");
+    assert!(answer.contains("\"ok\":true"), "{answer}");
+    handle.join().expect("server thread").expect("clean exit");
+}
+
+#[test]
+fn cheap_line_after_shutdown_is_refused() {
+    cheap_line_after_shutdown_is_refused_on(wsn_serve::IoModel::Epoll);
+}
+
+#[test]
+fn cheap_line_after_shutdown_is_refused_on_threads_model() {
+    cheap_line_after_shutdown_is_refused_on(wsn_serve::IoModel::Threads);
+}
+
+fn cheap_miss_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
+    // One worker, busy with a slow simulation: a predict nobody asked
+    // before must not wait behind it, because the front end runs it.
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        io_model,
+        ..ServerConfig::default()
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    writeln!(
+        stream,
+        r#"{{"id":"slow","op":"simulate","packets":50000,"config":{{"distance_m":35.0,"power_level":3}}}}"#
+    )
+    .expect("send slow");
+    writeln!(
+        stream,
+        r#"{{"id":"cheap","op":"predict","engine":"analytic","config":{{"distance_m":30.0}}}}"#
+    )
+    .expect("send cheap");
+
+    let lines = read_lines(&stream, 2);
+    assert!(lines[0].contains("\"id\":\"cheap\""), "{lines:?}");
+    assert!(lines[0].contains("\"ok\":true"), "{lines:?}");
+    assert!(lines[0].contains("\"cached\":false"), "{lines:?}");
+    assert!(lines[1].contains("\"id\":\"slow\""), "{lines:?}");
+    assert!(lines[1].contains("\"ok\":true"), "{lines:?}");
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn cheap_miss_overtakes_a_slow_queued_miss() {
+    cheap_miss_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Epoll);
+}
+
+#[test]
+fn cheap_miss_overtakes_a_slow_queued_miss_on_threads_model() {
+    cheap_miss_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Threads);
 }
