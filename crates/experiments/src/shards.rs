@@ -286,8 +286,7 @@ pub fn read_shard_dir(dir: &Path) -> Result<Vec<ConfigResult>, ShardError> {
 ///
 /// # Errors
 ///
-/// Returns a message on shard-read failure or (practically unreachable)
-/// serialization failure.
+/// Returns a message on shard-read failure.
 pub fn serve_warm_entries(
     dir: &Path,
     engine: EngineMode,
@@ -309,7 +308,7 @@ pub fn serve_warm_entries(
             seed,
             engine,
             &result.metrics,
-        )?;
+        );
         let key = wsn_serve::protocol::cache_key(&wsn_serve::protocol::RequestBody::Simulate {
             config: result.config,
             packets,

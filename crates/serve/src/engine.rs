@@ -2,10 +2,15 @@
 //! `result` JSON string, consulting the sharded result cache first.
 //!
 //! The engine owns exactly the shared state every worker needs — one
-//! [`LinkBudgetTable`] (so concurrent simulations share the memoized
-//! link-budget arithmetic from the campaign runner), one [`Optimizer`],
-//! one [`ShardedCache`], one [`ServeStats`] — and no per-connection
-//! state, so a single `Arc<Engine>` fans out to the whole pool.
+//! evaluation context per [`Profile`] (channel, load, the memoized
+//! [`LinkBudgetTable`] and [`AnalyticTable`] pinned to that channel, and
+//! the golden [`Optimizer`]), one [`ShardedCache`], one [`ServeStats`] —
+//! and no per-connection state, so a single `Arc<Engine>` fans out to the
+//! whole pool.
+//!
+//! The grid scans (`tune`, `pareto`, `explore`) all score candidates
+//! through one `Evaluator`: it picks the backend (predictor, analytic or
+//! fast), counts candidates and owns the request deadline.
 //!
 //! Caching contract: the cache stores the *serialized result string*, and
 //! the envelope splices it in verbatim, so a repeat request returns a
@@ -37,7 +42,10 @@ use wsn_sim_engine::mode::EngineMode;
 use serde::Serialize;
 
 use crate::cache::ShardedCache;
-use crate::protocol::{cache_key, metric_name, ErrCode, Profile, RequestBody, TimelineSpec};
+use crate::protocol::{
+    cache_key, metric_name, ErrCode, Profile, RequestBody, TimelineSpec, DEFAULT_PACKETS,
+    DEFAULT_SEED,
+};
 use crate::stats::ServeStats;
 use crate::store::Store;
 
@@ -68,15 +76,6 @@ impl ExecError {
             message: format!("deadline expired after {scanned} candidate evaluations"),
         }
     }
-
-    /// The server failed on its own (serialization) — never the
-    /// client's fault.
-    fn internal(message: String) -> Self {
-        ExecError {
-            code: ErrCode::Internal,
-            message,
-        }
-    }
 }
 
 impl std::fmt::Display for ExecError {
@@ -88,21 +87,8 @@ impl std::fmt::Display for ExecError {
 /// The shared request executor.
 #[derive(Debug)]
 pub struct Engine {
-    /// Memoized link budgets shared by every worker's simulations.
-    budgets: Arc<LinkBudgetTable>,
-    /// Memoized closed-form evaluations for the analytic engine mode,
-    /// pinned to the same channel as `budgets`.
-    analytic: Arc<AnalyticTable>,
-    /// The golden closed-form optimizer/predictor (paper constants).
-    optimizer: Optimizer,
-    /// Case-study counterparts (Sec. VIII-C: the shadowed channel),
-    /// powering `"profile":"case-study"` requests. Separate tables are
-    /// required because each memo is pinned to one channel.
-    budgets_cs: Arc<LinkBudgetTable>,
-    /// Closed-form memo on the case-study channel.
-    analytic_cs: Arc<AnalyticTable>,
-    /// The golden optimizer on the case-study link budget.
-    optimizer_cs: Optimizer,
+    /// One evaluation context per [`Profile`], in declaration order.
+    profiles: [ProfileCtx; 2],
     /// The in-memory result cache (tier 1).
     pub cache: ShardedCache,
     /// The optional persistent result store (tier 2).
@@ -117,26 +103,153 @@ pub struct Engine {
 /// under a millisecond while keeping `Instant::now` off the hot path.
 const DEADLINE_STRIDE: u64 = 64;
 
-/// A cooperative deadline for long grid scans: counts candidate
-/// evaluations and fails with [`ErrCode::Deadline`] once the wall clock
-/// passes the request's deadline. `None` never fires, so undeadlined
-/// requests pay only the counter increment.
-struct ScanDeadline {
+/// Everything a [`Profile`] pins: its channel and load, the memo tables
+/// (each is valid for one channel only, hence one set per profile) and
+/// the golden optimizer on its link budget.
+#[derive(Debug)]
+struct ProfileCtx {
+    channel: ChannelConfig,
+    traffic: TrafficModel,
+    budgets: Arc<LinkBudgetTable>,
+    analytic: Arc<AnalyticTable>,
+    optimizer: Optimizer,
+}
+
+impl ProfileCtx {
+    /// The paper profile is the hallway channel at each configuration's
+    /// periodic operating point; the case study is the shadowed channel
+    /// under saturating (bulk-transfer) load — the Sec. VIII-C regime
+    /// where the published winner (`Ptx=31`, interior payload, `N=3`)
+    /// emerges.
+    fn new(profile: Profile) -> Self {
+        let (channel, traffic, budget) = match profile {
+            Profile::Paper => (
+                ChannelConfig::paper_hallway(),
+                TrafficModel::Periodic,
+                LinkBudget::paper_hallway(),
+            ),
+            Profile::CaseStudy => (
+                ChannelConfig::case_study(),
+                TrafficModel::Saturating,
+                LinkBudget::case_study(),
+            ),
+        };
+        let mut optimizer = Optimizer::paper();
+        optimizer.predictor.budget = budget;
+        ProfileCtx {
+            channel,
+            traffic,
+            budgets: Arc::new(LinkBudgetTable::new(channel)),
+            analytic: Arc::new(AnalyticTable::new(channel)),
+            optimizer,
+        }
+    }
+
+    /// The single-link run options of this profile. The channel must be
+    /// set on the options too: the memo tables only engage when their
+    /// channel matches.
+    fn options(&self, packets: u64, seed: u64) -> SimOptions {
+        SimOptions {
+            packets,
+            record_packets: false,
+            channel: self.channel,
+            traffic: self.traffic,
+            ..SimOptions::paper(seed)
+        }
+    }
+
+    /// One closed-form evaluation through the memo table (seed-free by
+    /// construction, so no seed parameter exists to forget).
+    fn analytic(&self, config: StackConfig, packets: u64) -> AnalyticOutcome {
+        AnalyticLinkSimulation::new(config, self.options(packets, DEFAULT_SEED))
+            .with_budget_table(Arc::clone(&self.budgets))
+            .with_cache(Arc::clone(&self.analytic))
+            .run()
+    }
+
+    /// One fast-sampler run.
+    fn fast(&self, config: StackConfig, packets: u64, seed: u64) -> LinkMetrics {
+        FastLinkSimulation::new(config, self.options(packets, seed))
+            .with_budget_table(Arc::clone(&self.budgets))
+            .run()
+            .into_metrics()
+    }
+}
+
+/// The backend that scores grid-scan candidates.
+#[derive(Debug, Clone, Copy)]
+enum Scorer {
+    /// The golden closed-form predictor (microseconds).
+    Predictor,
+    /// The memoized M/G/1 closed form at the candidate's operating point.
+    Analytic,
+    /// The fast per-packet sampler at the default scale and seed.
+    Fast,
+}
+
+impl Scorer {
+    /// The backend a scan under `engine` scores with. Only `explore`
+    /// searches with the fast sampler; `tune` ranks with the predictor
+    /// and re-runs just its winner through fast, and `pareto` refuses
+    /// fast at parse time.
+    fn of(engine: EngineMode, explore: bool) -> Self {
+        match engine {
+            EngineMode::Analytic => Scorer::Analytic,
+            EngineMode::Fast if explore => Scorer::Fast,
+            _ => Scorer::Predictor,
+        }
+    }
+}
+
+/// One candidate's score: a closed-form prediction or a simulated
+/// (analytic/fast) metric set.
+enum Score {
+    Predicted(Predicted),
+    Simulated(LinkMetrics),
+}
+
+impl Score {
+    /// `metric` in minimization sense (goodput negated, as in
+    /// [`Metric::value`]). Infeasible operating points read `INFINITY`
+    /// (energy with zero delivery).
+    fn value(&self, metric: Metric) -> f64 {
+        match self {
+            Score::Predicted(p) => metric.value(p),
+            Score::Simulated(m) => match metric {
+                Metric::Energy => m.u_eng_uj_per_bit,
+                Metric::Goodput => -m.goodput_bps,
+                Metric::Delay => m.delay_mean_ms,
+                Metric::Loss => m.plr_total(),
+            },
+        }
+    }
+
+    /// The objective value when every constraint holds and the value is
+    /// finite; `None` marks the candidate infeasible.
+    fn feasible(&self, objective: Metric, constraints: &[(Metric, f64)]) -> Option<f64> {
+        if !constraints.iter().all(|(m, max)| self.value(*m) <= *max) {
+            return None;
+        }
+        Some(self.value(objective)).filter(|v| v.is_finite())
+    }
+}
+
+/// A grid scan's one seam to the backends: scores candidates under one
+/// profile and scorer, and owns the cooperative deadline — it counts
+/// every candidate and fails with [`ErrCode::Deadline`] once the wall
+/// clock passes the request's deadline. `None` never fires, so
+/// undeadlined scans pay only the counter increment.
+struct Evaluator<'a> {
+    ctx: &'a ProfileCtx,
+    scorer: Scorer,
     deadline: Option<Instant>,
     scanned: u64,
 }
 
-impl ScanDeadline {
-    fn new(deadline: Option<Instant>) -> Self {
-        ScanDeadline {
-            deadline,
-            scanned: 0,
-        }
-    }
-
-    /// Counts one candidate evaluation; errs when the deadline has
-    /// passed (checked every [`DEADLINE_STRIDE`] evaluations).
-    fn tick(&mut self) -> Result<(), ExecError> {
+impl Evaluator<'_> {
+    /// Counts and scores one candidate; errs when the deadline has passed
+    /// (checked every [`DEADLINE_STRIDE`] candidates).
+    fn next(&mut self, config: StackConfig) -> Result<Score, ExecError> {
         self.scanned += 1;
         if self.scanned.is_multiple_of(DEADLINE_STRIDE) {
             if let Some(deadline) = self.deadline {
@@ -145,8 +258,39 @@ impl ScanDeadline {
                 }
             }
         }
-        Ok(())
+        Ok(self.score(config))
     }
+
+    /// Scores `config` without counting it against the deadline — for
+    /// re-rendering a winner once the search is over. Free (predictor,
+    /// analytic memo hit) or deterministic (fast sampler, fixed seed).
+    fn score(&self, config: StackConfig) -> Score {
+        match self.scorer {
+            Scorer::Predictor => Score::Predicted(self.ctx.optimizer.predictor.evaluate(&config)),
+            Scorer::Analytic => {
+                Score::Simulated(self.ctx.analytic(config, DEFAULT_PACKETS).into_metrics())
+            }
+            Scorer::Fast => Score::Simulated(self.ctx.fast(config, DEFAULT_PACKETS, DEFAULT_SEED)),
+        }
+    }
+}
+
+/// The paper grid, restricted to `distance_m` (validated) when given.
+fn scan_grid(distance_m: Option<f64>) -> Result<ParamGrid, ExecError> {
+    let mut grid = ParamGrid::paper();
+    if let Some(d) = distance_m {
+        Distance::from_meters(d).map_err(|e| ExecError::bad_request(e.to_string()))?;
+        grid.distances_m = vec![d];
+    }
+    Ok(grid)
+}
+
+/// Serializes a result body as compact JSON (the vendored writer cannot
+/// fail).
+fn render(value: &impl Serialize) -> String {
+    let mut out = String::with_capacity(256);
+    value.serialize(&mut serde::Writer::compact(&mut out));
+    out
 }
 
 /// How a request was answered: the serialized `result` body, and whether
@@ -383,40 +527,21 @@ struct CacheOpResult {
 /// Serializes the result body a `simulate` request for this exact
 /// (`config`, `packets`, `seed`, `engine`) tuple would produce from
 /// `metrics` — the warm-from-campaign path. Byte-identity with a live
-/// answer is by construction: same struct, same serializer.
-///
-/// # Errors
-///
-/// Returns the serializer's message (practically unreachable).
+/// answer is by construction: the live `simulate` op calls this too.
 pub fn simulate_result_body(
     config: &StackConfig,
     packets: u64,
     seed: u64,
     engine: EngineMode,
     metrics: &LinkMetrics,
-) -> Result<String, String> {
-    serde_json::to_string(&SimulateResult {
+) -> String {
+    render(&SimulateResult {
         config: *config,
         packets,
         seed,
         engine: engine.name().to_string(),
         metrics: metrics.clone(),
     })
-    .map_err(|e| e.to_string())
-}
-
-/// A [`Metric`]'s value read from simulated/analytic [`LinkMetrics`], in
-/// the same minimization sense as [`Metric::value`] on a prediction
-/// (goodput negated so smaller is always better). Infeasible operating
-/// points surface as `INFINITY` (energy with zero delivery) and are
-/// filtered by the caller's finiteness check.
-fn link_metric_value(metric: Metric, m: &LinkMetrics) -> f64 {
-    match metric {
-        Metric::Energy => m.u_eng_uj_per_bit,
-        Metric::Goodput => -m.goodput_bps,
-        Metric::Delay => m.delay_mean_ms,
-        Metric::Loss => m.plr_total(),
-    }
 }
 
 /// Converts a minimization-sense value back to display sense (goodput is
@@ -444,17 +569,8 @@ impl Engine {
     /// An engine on the paper's hallway channel with a `shards`-way result
     /// cache.
     pub fn new(shards: usize) -> Self {
-        let channel = ChannelConfig::paper_hallway();
-        let channel_cs = ChannelConfig::case_study();
-        let mut optimizer_cs = Optimizer::paper();
-        optimizer_cs.predictor.budget = LinkBudget::case_study();
         Engine {
-            budgets: Arc::new(LinkBudgetTable::new(channel)),
-            analytic: Arc::new(AnalyticTable::new(channel)),
-            optimizer: Optimizer::paper(),
-            budgets_cs: Arc::new(LinkBudgetTable::new(channel_cs)),
-            analytic_cs: Arc::new(AnalyticTable::new(channel_cs)),
-            optimizer_cs,
+            profiles: [Profile::Paper, Profile::CaseStudy].map(ProfileCtx::new),
             cache: ShardedCache::new(shards),
             store: None,
             stats: ServeStats::new(),
@@ -577,36 +693,30 @@ impl Engine {
                 packets,
                 seed,
                 engine,
-            } => {
-                let metrics = self.simulate(*config, *packets, *seed, *engine);
-                serde_json::to_string(&SimulateResult {
-                    config: *config,
-                    packets: *packets,
-                    seed: *seed,
-                    engine: engine.name().to_string(),
-                    metrics,
-                })
-                .map_err(|e| ExecError::internal(e.to_string()))
-            }
-            RequestBody::Predict { config, engine } => match engine {
+            } => Ok(simulate_result_body(
+                config,
+                *packets,
+                *seed,
+                *engine,
+                &self.simulate(*config, *packets, *seed, *engine),
+            )),
+            RequestBody::Predict { config, engine } => Ok(match engine {
                 EngineMode::Analytic => {
-                    let outcome = self.analytic_run(*config, crate::protocol::DEFAULT_PACKETS);
-                    serde_json::to_string(&AnalyticPredictResult {
+                    let outcome = self.paper().analytic(*config, DEFAULT_PACKETS);
+                    render(&AnalyticPredictResult {
                         config: *config,
                         engine: engine.name().to_string(),
-                        packets: crate::protocol::DEFAULT_PACKETS,
+                        packets: DEFAULT_PACKETS,
                         report: outcome.report,
                         metrics: outcome.into_metrics(),
                     })
-                    .map_err(|e| ExecError::internal(e.to_string()))
                 }
                 // Golden keeps the historical body, byte-identical.
-                _ => serde_json::to_string(&PredictResult {
+                _ => render(&PredictResult {
                     config: *config,
-                    predicted: self.optimizer.predictor.evaluate(config),
-                })
-                .map_err(|e| ExecError::internal(e.to_string())),
-            },
+                    predicted: self.paper().optimizer.predictor.evaluate(config),
+                }),
+            }),
             RequestBody::Tune {
                 objective,
                 constraints,
@@ -671,7 +781,7 @@ impl Engine {
                         appends: 0,
                     },
                 };
-                serde_json::to_string(&CacheOpResult {
+                Ok(render(&CacheOpResult {
                     mem: CacheTierMem {
                         entries: self.cache.len() as u64,
                         hits,
@@ -686,19 +796,42 @@ impl Engine {
                     disk,
                     flushed: *flush,
                     flushed_entries,
-                })
-                .map_err(|e| ExecError::internal(e.to_string()))
+                }))
             }
-            RequestBody::Stats => serde_json::to_string(&self.stats.snapshot(
+            RequestBody::Stats => Ok(render(&self.stats.snapshot(
                 self.cache.hits(),
                 self.cache.misses(),
                 self.cache.len(),
                 self.cache.evictions(),
-            ))
-            .map_err(|e| ExecError::internal(e.to_string())),
+            ))),
             // The server answers shutdown itself; reaching here means a
             // worker was handed one anyway — answer it honestly.
             RequestBody::Shutdown => Ok("{\"shutting_down\":true}".to_string()),
+        }
+    }
+
+    /// The paper profile's context: `simulate`, `predict` and `tune` run
+    /// on the hallway channel only.
+    fn paper(&self) -> &ProfileCtx {
+        self.profile(Profile::Paper)
+    }
+
+    fn profile(&self, profile: Profile) -> &ProfileCtx {
+        &self.profiles[profile as usize]
+    }
+
+    /// A fresh evaluator for one scan under `profile`.
+    fn evaluator(
+        &self,
+        profile: Profile,
+        scorer: Scorer,
+        deadline: Option<Instant>,
+    ) -> Evaluator<'_> {
+        Evaluator {
+            ctx: self.profile(profile),
+            scorer,
+            deadline,
+            scanned: 0,
         }
     }
 
@@ -713,117 +846,27 @@ impl Engine {
         seed: u64,
         engine: EngineMode,
     ) -> LinkMetrics {
-        let options = SimOptions {
-            packets,
-            record_packets: false,
-            traffic: TrafficModel::Periodic,
-            ..SimOptions::paper(seed)
-        };
+        let paper = self.paper();
         match engine {
             EngineMode::Golden => {
-                let outcome = LinkSimulation::new(config, options)
-                    .with_budget_table(Arc::clone(&self.budgets))
+                let outcome = LinkSimulation::new(config, paper.options(packets, seed))
+                    .with_budget_table(Arc::clone(&paper.budgets))
                     .run();
                 self.stats.observe_exec(&outcome.exec);
                 outcome.metrics().clone()
             }
-            EngineMode::Fast => FastLinkSimulation::new(config, options)
-                .with_budget_table(Arc::clone(&self.budgets))
-                .run()
-                .into_metrics(),
-            EngineMode::Analytic => self.analytic_run(config, packets).into_metrics(),
+            EngineMode::Fast => paper.fast(config, packets, seed),
+            EngineMode::Analytic => paper.analytic(config, packets).into_metrics(),
         }
     }
 
-    /// One closed-form evaluation through the shared memo table (seed-free
-    /// by construction, so no seed parameter exists to forget).
-    fn analytic_run(&self, config: StackConfig, packets: u64) -> AnalyticOutcome {
-        let options = SimOptions {
-            packets,
-            record_packets: false,
-            traffic: TrafficModel::Periodic,
-            ..SimOptions::paper(crate::protocol::DEFAULT_SEED)
-        };
-        AnalyticLinkSimulation::new(config, options)
-            .with_budget_table(Arc::clone(&self.budgets))
-            .with_cache(Arc::clone(&self.analytic))
-            .run()
-    }
-
-    /// The golden optimizer/predictor backing a profile.
-    fn profile_optimizer(&self, profile: Profile) -> &Optimizer {
-        match profile {
-            Profile::Paper => &self.optimizer,
-            Profile::CaseStudy => &self.optimizer_cs,
-        }
-    }
-
-    /// One closed-form evaluation under a profile. The paper profile is
-    /// the hallway channel at the configuration's periodic operating
-    /// point; the case study is the shadowed channel under saturating
-    /// (bulk-transfer) load — the Sec. VIII-C regime where the published
-    /// winner (`Ptx=31`, interior payload, `N=3`) emerges.
-    fn analytic_run_profile(
-        &self,
-        config: StackConfig,
-        packets: u64,
-        profile: Profile,
-    ) -> AnalyticOutcome {
-        match profile {
-            Profile::Paper => self.analytic_run(config, packets),
-            Profile::CaseStudy => {
-                // The evaluator is a function of `options.channel` (the
-                // memo tables only engage when their channel matches), so
-                // the shadowed channel must be set on the options too.
-                let options = SimOptions {
-                    packets,
-                    record_packets: false,
-                    channel: ChannelConfig::case_study(),
-                    traffic: TrafficModel::Saturating,
-                    ..SimOptions::paper(crate::protocol::DEFAULT_SEED)
-                };
-                AnalyticLinkSimulation::new(config, options)
-                    .with_budget_table(Arc::clone(&self.budgets_cs))
-                    .with_cache(Arc::clone(&self.analytic_cs))
-                    .run()
-            }
-        }
-    }
-
-    /// One fast-sampler run under a profile (same channel/traffic pairing
-    /// as [`Engine::analytic_run_profile`]).
-    fn fast_run_profile(
-        &self,
-        config: StackConfig,
-        packets: u64,
-        seed: u64,
-        profile: Profile,
-    ) -> LinkMetrics {
-        let (budgets, channel, traffic) = match profile {
-            Profile::Paper => (
-                &self.budgets,
-                ChannelConfig::paper_hallway(),
-                TrafficModel::Periodic,
-            ),
-            Profile::CaseStudy => (
-                &self.budgets_cs,
-                ChannelConfig::case_study(),
-                TrafficModel::Saturating,
-            ),
-        };
-        let options = SimOptions {
-            packets,
-            record_packets: false,
-            channel,
-            traffic,
-            ..SimOptions::paper(seed)
-        };
-        FastLinkSimulation::new(config, options)
-            .with_budget_table(Arc::clone(budgets))
-            .run()
-            .into_metrics()
-    }
-
+    /// The `tune` op: the ε-constraint optimum over the paper grid. The
+    /// golden and fast engines rank closed-form predictions; the analytic
+    /// engine ranks memoized M/G/1 evaluations at each candidate's own
+    /// periodic operating point, so its goodput objective ranks
+    /// *achieved* goodput where the predictor ranks the saturated maximum
+    /// (Eq. 4). Fast and analytic then re-run the winner — and only the
+    /// winner — through the fast sampler as an empirical cross-check.
     fn tune(
         &self,
         objective: Metric,
@@ -832,130 +875,59 @@ impl Engine {
         engine: EngineMode,
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
-        let mut grid = ParamGrid::paper();
-        if let Some(d) = distance_m {
-            Distance::from_meters(d).map_err(|e| ExecError::bad_request(e.to_string()))?;
-            grid.distances_m = vec![d];
-        }
-        if engine == EngineMode::Analytic {
-            return self.tune_analytic(objective, constraints, &grid, deadline);
-        }
-        // Inlined `Optimizer::epsilon_constraint` so the scan can honor
-        // the request deadline between candidates. Strict `<` keeps the
-        // *first* minimum, matching `min_by`'s tie-breaking exactly — a
-        // cached pre-inline answer and a fresh one must agree
-        // byte-for-byte.
-        let mut scan = ScanDeadline::new(deadline);
-        let mut best: Option<(wsn_models::optimize::Evaluation, f64)> = None;
+        let grid = scan_grid(distance_m)?;
+        let mut eval = self.evaluator(Profile::Paper, Scorer::of(engine, false), deadline);
+        // Strict `<` keeps the *first* minimum in grid order, matching
+        // `min_by` in `Optimizer::epsilon_constraint` exactly — a cached
+        // answer from either and a fresh one agree byte-for-byte.
+        let mut best: Option<(StackConfig, f64)> = None;
         for config in grid.iter() {
-            scan.tick()?;
-            let predicted = self.optimizer.predictor.evaluate(&config);
-            if !constraints
-                .iter()
-                .all(|(m, eps)| m.value(&predicted) <= *eps)
-            {
-                continue;
-            }
-            let value = objective.value(&predicted);
-            if !value.is_finite() {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(_, b)| value < *b) {
-                best = Some((
-                    wsn_models::optimize::Evaluation { config, predicted },
-                    value,
-                ));
+            if let Some(value) = eval.next(config)?.feasible(objective, constraints) {
+                if best.is_none_or(|(_, b)| value < b) {
+                    best = Some((config, value));
+                }
             }
         }
-        let (best, _) = best.ok_or_else(|| {
+        let (config, _) = best.ok_or_else(|| {
             ExecError::bad_request("no feasible configuration on the grid".to_string())
         })?;
-        // `"engine":"fast"` buys an empirical cross-check: the predicted
-        // winner is re-run through the fast sampler so the client sees
-        // simulated metrics next to the closed-form prediction.
-        let simulated = match engine {
-            EngineMode::Fast => Some(self.simulate(
-                best.config,
-                crate::protocol::DEFAULT_PACKETS,
-                crate::protocol::DEFAULT_SEED,
-                EngineMode::Fast,
-            )),
-            _ => None,
-        };
-        serde_json::to_string(&TuneResult {
-            objective: metric_name(objective).to_string(),
-            constraints: constraint_echo(constraints),
-            grid_configs: grid.len() as u64,
-            engine: engine.name().to_string(),
-            config: best.config,
-            predicted: best.predicted,
-            simulated,
+        let paper = self.paper();
+        let simulated = (engine != EngineMode::Golden)
+            .then(|| paper.fast(config, DEFAULT_PACKETS, DEFAULT_SEED));
+        let predicted = paper.optimizer.predictor.evaluate(&config);
+        let objective = metric_name(objective).to_string();
+        let constraints = constraint_echo(constraints);
+        let grid_configs = grid.len() as u64;
+        let engine_name = engine.name().to_string();
+        Ok(match engine {
+            EngineMode::Analytic => {
+                // A memo hit: the scan already evaluated the winner.
+                let outcome = paper.analytic(config, DEFAULT_PACKETS);
+                render(&AnalyticTuneResult {
+                    objective,
+                    constraints,
+                    grid_configs,
+                    engine: engine_name,
+                    config,
+                    predicted,
+                    simulated,
+                    analytic: AnalyticTuneDetail {
+                        candidates_ranked: grid_configs,
+                        report: outcome.report,
+                        metrics: outcome.into_metrics(),
+                    },
+                })
+            }
+            _ => render(&TuneResult {
+                objective,
+                constraints,
+                grid_configs,
+                engine: engine_name,
+                config,
+                predicted,
+                simulated,
+            }),
         })
-        .map_err(|e| ExecError::internal(e.to_string()))
-    }
-
-    /// The analytic tune path: every grid candidate is evaluated with the
-    /// closed-form M/G/1 engine (microseconds each through the memo table)
-    /// and ranked on the full metric set at its own periodic operating
-    /// point; only the winner is then re-simulated through the fast
-    /// sampler as an empirical cross-check. Note the goodput objective
-    /// therefore ranks *achieved* goodput under the configuration's
-    /// periodic load, where the golden predictor ranks the saturated
-    /// maximum (Eq. 4).
-    fn tune_analytic(
-        &self,
-        objective: Metric,
-        constraints: &[(Metric, f64)],
-        grid: &ParamGrid,
-        deadline: Option<Instant>,
-    ) -> Result<String, ExecError> {
-        let mut scan = ScanDeadline::new(deadline);
-        let mut best: Option<(StackConfig, LinkMetrics, AnalyticReport, f64)> = None;
-        for config in grid.iter() {
-            scan.tick()?;
-            let outcome = self.analytic_run(config, crate::protocol::DEFAULT_PACKETS);
-            let report = outcome.report;
-            let metrics = outcome.into_metrics();
-            let feasible = constraints
-                .iter()
-                .all(|(m, eps)| link_metric_value(*m, &metrics) <= *eps);
-            if !feasible {
-                continue;
-            }
-            let value = link_metric_value(objective, &metrics);
-            if !value.is_finite() {
-                continue;
-            }
-            // Strict `<` keeps the first minimum, like the golden path's
-            // `min_by`, so ties break deterministically in grid order.
-            if best.as_ref().is_none_or(|(_, _, _, b)| value < *b) {
-                best = Some((config, metrics, report, value));
-            }
-        }
-        let (config, metrics, report, _) = best.ok_or_else(|| {
-            ExecError::bad_request("no feasible configuration on the grid".to_string())
-        })?;
-        let simulated = self.simulate(
-            config,
-            crate::protocol::DEFAULT_PACKETS,
-            crate::protocol::DEFAULT_SEED,
-            EngineMode::Fast,
-        );
-        serde_json::to_string(&AnalyticTuneResult {
-            objective: metric_name(objective).to_string(),
-            constraints: constraint_echo(constraints),
-            grid_configs: grid.len() as u64,
-            engine: EngineMode::Analytic.name().to_string(),
-            config,
-            predicted: self.optimizer.predictor.evaluate(&config),
-            simulated: Some(simulated),
-            analytic: AnalyticTuneDetail {
-                candidates_ranked: grid.len() as u64,
-                metrics,
-                report,
-            },
-        })
-        .map_err(|e| ExecError::internal(e.to_string()))
     }
 
     /// The `pareto` op: the exact non-dominated set of every requested
@@ -972,12 +944,8 @@ impl Engine {
         profile: Profile,
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
-        let mut grid = ParamGrid::paper();
-        if let Some(d) = distance_m {
-            Distance::from_meters(d).map_err(|e| ExecError::bad_request(e.to_string()))?;
-            grid.distances_m = vec![d];
-        }
-        let mut scan = ScanDeadline::new(deadline);
+        let grid = scan_grid(distance_m)?;
+        let mut eval = self.evaluator(profile, Scorer::of(engine, false), deadline);
         let mut distances = Vec::with_capacity(grid.distances_m.len());
         for &d in &grid.distances_m {
             let slice = ParamGrid {
@@ -987,24 +955,9 @@ impl Engine {
             let mut configs = Vec::with_capacity(slice.len());
             let mut values: Vec<Vec<f64>> = Vec::with_capacity(slice.len());
             for config in slice.iter() {
-                scan.tick()?;
-                let row: Vec<f64> = match engine {
-                    EngineMode::Analytic => {
-                        let m = self
-                            .analytic_run_profile(config, crate::protocol::DEFAULT_PACKETS, profile)
-                            .into_metrics();
-                        metrics
-                            .iter()
-                            .map(|metric| link_metric_value(*metric, &m))
-                            .collect()
-                    }
-                    _ => {
-                        let p = self.profile_optimizer(profile).predictor.evaluate(&config);
-                        metrics.iter().map(|metric| metric.value(&p)).collect()
-                    }
-                };
+                let score = eval.next(config)?;
                 configs.push(config);
-                values.push(row);
+                values.push(metrics.iter().map(|m| score.value(*m)).collect());
             }
             let mut front = pareto_front_indices(&values);
             front.sort_by(|&a, &b| {
@@ -1038,7 +991,7 @@ impl Engine {
                 knee,
             });
         }
-        serde_json::to_string(&ParetoResult {
+        Ok(render(&ParetoResult {
             metrics: metrics
                 .iter()
                 .map(|m| metric_name(*m).to_string())
@@ -1047,16 +1000,14 @@ impl Engine {
             profile: profile.name().to_string(),
             grid_configs: grid.len() as u64,
             distances,
-        })
-        .map_err(|e| ExecError::internal(e.to_string()))
+        }))
     }
 
     /// The `explore` op: budgeted search through
     /// [`wsn_models::explore::explore_grid`] (coprime-stride sweep →
     /// successive halving → hill climb), never spending more candidate
-    /// evaluations than `budget`. The evaluator enforces the constraints
-    /// and the deadline; the winner is re-rendered from the same backend
-    /// that scored it.
+    /// evaluations than `budget`. Each engine scores with its own
+    /// backend, and the winner is re-rendered from that same backend.
     #[allow(clippy::too_many_arguments)]
     fn explore(
         &self,
@@ -1068,98 +1019,54 @@ impl Engine {
         profile: Profile,
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
-        let mut grid = ParamGrid::paper();
-        if let Some(d) = distance_m {
-            Distance::from_meters(d).map_err(|e| ExecError::bad_request(e.to_string()))?;
-            grid.distances_m = vec![d];
-        }
-        let mut scan = ScanDeadline::new(deadline);
-        let feasible_value = |metrics_of: &dyn Fn(Metric) -> f64| -> Option<f64> {
-            if !constraints.iter().all(|(m, eps)| metrics_of(*m) <= *eps) {
-                return None;
-            }
-            Some(metrics_of(objective))
-        };
+        let grid = scan_grid(distance_m)?;
+        let mut eval = self.evaluator(profile, Scorer::of(engine, true), deadline);
         let outcome = explore_grid(&grid, budget, |_, config| {
-            scan.tick()?;
-            let value = match engine {
-                EngineMode::Golden => {
-                    let p = self.profile_optimizer(profile).predictor.evaluate(config);
-                    feasible_value(&|m| m.value(&p))
-                }
-                EngineMode::Analytic => {
-                    let lm = self
-                        .analytic_run_profile(*config, crate::protocol::DEFAULT_PACKETS, profile)
-                        .into_metrics();
-                    feasible_value(&|m| link_metric_value(m, &lm))
-                }
-                EngineMode::Fast => {
-                    let lm = self.fast_run_profile(
-                        *config,
-                        crate::protocol::DEFAULT_PACKETS,
-                        crate::protocol::DEFAULT_SEED,
-                        profile,
-                    );
-                    feasible_value(&|m| link_metric_value(m, &lm))
-                }
-            };
-            Ok(value)
+            Ok(eval.next(*config)?.feasible(objective, constraints))
         })?
         .ok_or_else(|| {
             ExecError::bad_request("no feasible configuration found within the budget".to_string())
         })?;
         let config = grid.config_at(outcome.best_index);
+        let objective_value = display_value(objective, outcome.best_value);
         let strategy = ExploreStrategy {
             swept: outcome.swept,
             refined: outcome.refined,
             local: outcome.local,
         };
-        let objective_value = display_value(objective, outcome.best_value);
-        match engine {
-            EngineMode::Golden => serde_json::to_string(&ExploreResult {
-                objective: metric_name(objective).to_string(),
-                constraints: constraint_echo(constraints),
+        let objective = metric_name(objective).to_string();
+        let constraints = constraint_echo(constraints);
+        let grid_configs = grid.len() as u64;
+        let engine = engine.name().to_string();
+        let profile = profile.name().to_string();
+        Ok(match eval.score(config) {
+            Score::Predicted(predicted) => render(&ExploreResult {
+                objective,
+                constraints,
                 budget,
                 evaluations: outcome.evaluations,
-                grid_configs: grid.len() as u64,
-                engine: engine.name().to_string(),
-                profile: profile.name().to_string(),
+                grid_configs,
+                engine,
+                profile,
                 strategy,
                 config,
                 objective_value,
-                predicted: self.profile_optimizer(profile).predictor.evaluate(&config),
-            })
-            .map_err(|e| ExecError::internal(e.to_string())),
-            _ => {
-                // Re-deriving the winner's metrics is free (analytic memo
-                // hit) or deterministic (fast sampler, fixed seed).
-                let metrics = match engine {
-                    EngineMode::Analytic => self
-                        .analytic_run_profile(config, crate::protocol::DEFAULT_PACKETS, profile)
-                        .into_metrics(),
-                    _ => self.fast_run_profile(
-                        config,
-                        crate::protocol::DEFAULT_PACKETS,
-                        crate::protocol::DEFAULT_SEED,
-                        profile,
-                    ),
-                };
-                serde_json::to_string(&ExploreSimResult {
-                    objective: metric_name(objective).to_string(),
-                    constraints: constraint_echo(constraints),
-                    budget,
-                    evaluations: outcome.evaluations,
-                    grid_configs: grid.len() as u64,
-                    engine: engine.name().to_string(),
-                    profile: profile.name().to_string(),
-                    strategy,
-                    config,
-                    objective_value,
-                    metrics,
-                })
-                .map_err(|e| ExecError::internal(e.to_string()))
-            }
-        }
+                predicted,
+            }),
+            Score::Simulated(metrics) => render(&ExploreSimResult {
+                objective,
+                constraints,
+                budget,
+                evaluations: outcome.evaluations,
+                grid_configs,
+                engine,
+                profile,
+                strategy,
+                config,
+                objective_value,
+                metrics,
+            }),
+        })
     }
 
     fn scenario(
@@ -1209,10 +1116,10 @@ impl Engine {
                 frames_capture_lost: link.frames_capture_lost,
             })
             .collect();
-        match digest {
+        Ok(match digest {
             // Static scenarios keep the historical result shape,
             // byte-identical to the pre-timeline format.
-            None => serde_json::to_string(&ScenarioResult {
+            None => render(&ScenarioResult {
                 scenario: id.to_string(),
                 description: description.to_string(),
                 packets,
@@ -1221,9 +1128,8 @@ impl Engine {
                 goodput_bps,
                 links,
                 air: outcome.air,
-            })
-            .map_err(|e| ExecError::internal(e.to_string())),
-            Some(digest) => serde_json::to_string(&TimelineScenarioResult {
+            }),
+            Some(digest) => render(&TimelineScenarioResult {
                 scenario: id.to_string(),
                 description: description.to_string(),
                 packets,
@@ -1234,9 +1140,8 @@ impl Engine {
                 goodput_bps,
                 links,
                 air: outcome.air,
-            })
-            .map_err(|e| ExecError::internal(e.to_string())),
-        }
+            }),
+        })
     }
 }
 
@@ -1658,27 +1563,36 @@ mod tests {
     #[test]
     fn expired_deadline_aborts_the_scan_with_the_deadline_code() {
         let engine = Engine::new(4);
-        let full_grid = body(r#"{"op":"tune","objective":"energy"}"#);
         let past = Instant::now() - std::time::Duration::from_millis(10);
-        let err = engine
-            .execute_with_deadline(&full_grid, Some(past))
-            .unwrap_err();
-        assert_eq!(err.code, ErrCode::Deadline);
-        assert!(
-            err.message.contains("candidate evaluations"),
-            "{}",
-            err.message
-        );
-        // The abort was never cached: without a deadline the same request
-        // computes and answers.
-        let ok = engine.execute(&full_grid).unwrap();
-        assert!(!ok.cached);
-        // …and now that an answer is stored, even an expired deadline is
-        // served from the cache — a stored answer is free.
-        let hit = engine
-            .execute_with_deadline(&full_grid, Some(past))
-            .unwrap();
-        assert!(hit.cached);
+        // Every scan op under every scorer it accepts. An explore budget
+        // below one deadline stride (64) would never read the clock.
+        for line in [
+            r#"{"op":"tune","objective":"energy"}"#,
+            r#"{"op":"tune","objective":"energy","distance_m":20.0,"engine":"fast"}"#,
+            r#"{"op":"tune","objective":"energy","distance_m":20.0,"engine":"analytic"}"#,
+            r#"{"op":"pareto","distance_m":20.0}"#,
+            r#"{"op":"pareto","distance_m":20.0,"engine":"analytic","profile":"case-study"}"#,
+            r#"{"op":"explore","objective":"energy","budget":64,"distance_m":20.0}"#,
+            r#"{"op":"explore","objective":"energy","budget":64,"distance_m":20.0,"engine":"analytic"}"#,
+            r#"{"op":"explore","objective":"energy","budget":64,"distance_m":20.0,"engine":"fast"}"#,
+        ] {
+            let req = body(line);
+            let err = engine.execute_with_deadline(&req, Some(past)).unwrap_err();
+            assert_eq!(err.code, ErrCode::Deadline, "{line}");
+            assert!(
+                err.message.contains("candidate evaluations"),
+                "{line}: {}",
+                err.message
+            );
+            // The abort was never cached: without a deadline the same
+            // request computes and answers.
+            let ok = engine.execute(&req).unwrap();
+            assert!(!ok.cached, "{line}");
+            // …and now that an answer is stored, even an expired deadline
+            // is served from the cache — a stored answer is free.
+            let hit = engine.execute_with_deadline(&req, Some(past)).unwrap();
+            assert!(hit.cached, "{line}");
+        }
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub enum ErrCode {
     /// The request line exceeded [`MAX_LINE_BYTES`]; the connection is
     /// closed after this answer.
     Oversized,
-    /// The server failed internally (e.g. serialization); never the
-    /// client's fault.
+    /// The server failed internally; never the client's fault. Reserved:
+    /// result serialization cannot fail, so no code path emits it today.
     Internal,
 }
 

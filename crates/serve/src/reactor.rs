@@ -2,16 +2,16 @@
 //! owning a set of accepted connections on one epoll instance, so 10k
 //! mostly-idle clients cost file descriptors instead of threads.
 //!
-//! Each shard runs one thread around [`sys::Epoll::wait`]. A connection
+//! Each shard runs one thread around [`crate::sys::Epoll::wait`]. A connection
 //! lives entirely on its shard: the shard reads into a per-connection
 //! buffer, frames complete `\n`-terminated lines, and parses them with
-//! the same [`crate::handle_request_line`] path as the blocking model.
+//! the same `handle_request_line` path as the blocking model.
 //! A memory-tier cache hit, or a miss of bounded cost (see
 //! [`crate::INLINE_MAX_PACKETS`]), is answered on the shard itself: the
 //! answer lands in the connection's write buffer and the `flush_conn` that
 //! ends every read pass writes it, without waiting on the queue, a worker
 //! or the eventfd wake-up. Everything else goes to the shared bounded
-//! worker queue. Workers answer through a [`ReactorConn`] handle that appends to
+//! worker queue. Workers answer through a `ReactorConn` handle that appends to
 //! the connection's write buffer and wakes the shard via its eventfd; the
 //! shard flushes opportunistically and falls back to `EPOLLOUT` interest
 //! when the socket pushes back.

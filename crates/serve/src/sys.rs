@@ -10,7 +10,7 @@
 //!
 //! Supported targets are x86-64 and AArch64 Linux (the hosts this repo
 //! builds on). Elsewhere the same API exists but every constructor
-//! returns [`io::ErrorKind::Unsupported`], and the server falls back to
+//! returns [`std::io::ErrorKind::Unsupported`], and the server falls back to
 //! the blocking thread-per-connection model (see `IoModel` in the crate
 //! root). [`SUPPORTED`] reports which variant was compiled in.
 
