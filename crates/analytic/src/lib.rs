@@ -1,6 +1,7 @@
 //! # wsn-analytic
 //!
-//! The analytic link engine: the third [`EngineMode`] next to the golden
+//! The analytic link engine: the third
+//! [`EngineMode`](wsn_sim_engine::mode::EngineMode) next to the golden
 //! event-driven simulator and the coalesced fast simulator. Instead of
 //! sampling the CSMA-CA transaction, it *integrates* it — composing the
 //! same per-attempt terms the fast engine draws (SPI load, uniform initial

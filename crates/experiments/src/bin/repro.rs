@@ -31,24 +31,22 @@
 //!                                    --log streams one structured epoch
 //!                                    event per snapshot)
 //! repro serve [--addr HOST:PORT] [--threads N] [--access-log PATH] [--slow-ms N]
-//!             [--io-model epoll|threads] [--store DIR]
+//!             [--store DIR]
 //!             [--warm-from-campaign DIR [--warm-engine E] [--warm-packets N]]
 //!                                    start the JSON-lines query service
 //!                                    (docs/SERVE.md; port 0 picks a free port;
 //!                                    --access-log appends one JSONL record per
 //!                                    request, --slow-ms sets the slow-request
-//!                                    warning threshold, 0 disables it;
-//!                                    --io-model picks the connection front-end,
-//!                                    default epoll where supported; --store
+//!                                    warning threshold, 0 disables it; --store
 //!                                    persists the result cache across restarts;
 //!                                    --warm-from-campaign seeds the cache from
 //!                                    a sharded campaign checkpoint directory)
 //! repro loadgen [--duration SECS] [--connections N] [--senders N] [--rate RPS]
-//!               [--arrivals poisson|fixed] [--io-model both|epoll|threads]
-//!               [--addr HOST:PORT] [--json PATH] [--label STR]
+//!               [--arrivals poisson|fixed] [--addr HOST:PORT] [--json PATH]
+//!               [--label STR]
 //!                                    open-loop load benchmark of the query
-//!                                    service: spawns `repro serve` per
-//!                                    io-model (or targets --addr), parks idle
+//!                                    service: spawns one `repro serve` (or
+//!                                    targets --addr), parks idle
 //!                                    connections, calibrates capacity, then
 //!                                    drives 1x/2x/4x phases and reports
 //!                                    QPS/p50/p99/p999 + error/deadline rates
@@ -91,7 +89,7 @@ use wsn_experiments::{all_experiments, run_experiment};
 use wsn_obs::log::EventLog;
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
-use wsn_serve::{IoModel, ServeError, Server, ServerConfig};
+use wsn_serve::{ServeError, Server, ServerConfig};
 use wsn_sim_engine::mode::EngineMode;
 
 /// Everything that can end a `repro` invocation unsuccessfully, with the
@@ -154,7 +152,7 @@ fn usage() -> String {
         "usage: repro <all|list|campaign|scenario|timeline|serve|loadgen|verify|dataset|bench|ID...> \
          [--full] [--engine golden|fast|analytic] [--out DIR] [--resume] [--shards N] \
          [--log PATH] [--json PATH] [--quick-bench] [--addr HOST:PORT] [--threads N] \
-         [--access-log PATH] [--slow-ms N] [--io-model epoll|threads|both] [--store DIR] \
+         [--access-log PATH] [--slow-ms N] [--store DIR] \
          [--warm-from-campaign DIR] [--warm-engine golden|fast|analytic] [--warm-packets N] \
          [--duration SECS] [--connections N] [--senders N] [--rate RPS] \
          [--arrivals poisson|fixed] [--label STR]\n  \
@@ -375,7 +373,6 @@ fn run_serve(
     threads: usize,
     access_log: Option<PathBuf>,
     slow_request_ms: u64,
-    io_model: IoModel,
     store: Option<PathBuf>,
     warm_from: Option<PathBuf>,
     warm_engine: EngineMode,
@@ -386,7 +383,6 @@ fn run_serve(
         threads,
         access_log,
         slow_request_ms,
-        io_model,
         store,
         ..ServerConfig::default()
     })?;
@@ -448,7 +444,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     let mut log_path: Option<PathBuf> = None;
     let mut access_log: Option<PathBuf> = None;
     let mut slow_request_ms = 1_000u64;
-    let mut io_model_flag: Option<String> = None;
     let mut store: Option<PathBuf> = None;
     let mut warm_from: Option<PathBuf> = None;
     let mut warm_engine = EngineMode::Golden;
@@ -514,16 +509,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
                 }
             },
             "--quick-bench" => quick_bench = true,
-            "--io-model" => match iter.next() {
-                Some(m) if m == "both" || IoModel::from_name(m).is_some() => {
-                    io_model_flag = Some(m.clone());
-                }
-                _ => {
-                    return Err(CliError::Usage(
-                        "--io-model needs `epoll`, `threads`, or (loadgen only) `both`".into(),
-                    ))
-                }
-            },
             "--store" => match iter.next() {
                 Some(dir) => store = Some(PathBuf::from(dir)),
                 None => return Err(CliError::Usage("--store needs a directory".into())),
@@ -615,21 +600,11 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 
     if selections.iter().any(|s| s == "serve") {
-        let io_model = match io_model_flag.as_deref() {
-            None => IoModel::default(),
-            Some("both") => {
-                return Err(CliError::Usage(
-                    "serve runs one io-model; `both` is for loadgen".into(),
-                ))
-            }
-            Some(name) => IoModel::from_name(name).expect("validated during parsing"),
-        };
         return run_serve(
             addr,
             threads,
             access_log,
             slow_request_ms,
-            io_model,
             store,
             warm_from,
             warm_engine,
@@ -638,10 +613,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 
     if selections.iter().any(|s| s == "loadgen") {
-        let io_models = match io_model_flag.as_deref() {
-            None | Some("both") => vec!["epoll".to_string(), "threads".to_string()],
-            Some(name) => vec![name.to_string()],
-        };
         let opts = LoadgenOptions {
             duration: std::time::Duration::from_secs_f64(duration_s),
             connections,
@@ -649,7 +620,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
             rate,
             arrivals,
             addr: addr_given.then_some(addr),
-            io_models,
             label,
             ..LoadgenOptions::default()
         };

@@ -2,12 +2,12 @@
 //! per-configuration derived seeds, optionally across threads.
 //!
 //! Results stream **in configuration order** to a
-//! [`CampaignSink`](crate::stream::CampaignSink); workers claim work from a
+//! [`CampaignSink`]; workers claim work from a
 //! lock-free atomic index and hand finished results to a bounded reorder
 //! buffer, so peak memory is O(threads) regardless of grid size. The
 //! historical collect-everything API ([`Campaign::run_configs`]) remains as
 //! a thin wrapper over a
-//! [`CollectSink`](crate::stream::CollectSink).
+//! [`CollectSink`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -8,7 +8,7 @@
 //!
 //! Two write paths exist: [`write_trace`] serialises an in-memory record
 //! vector, and [`CsvStreamSink`] implements
-//! [`PacketSink`](wsn_link_sim::sink::PacketSink) so the simulation can
+//! [`PacketSink`] so the simulation can
 //! stream records straight to disk in O(1) memory. Floats are written in
 //! shortest-round-trip form, so a write → read cycle is lossless.
 

@@ -1,7 +1,7 @@
 //! `repro timeline` — replay a topology timeline over a catalog scenario.
 //!
 //! The timeline is either a builtin id (see
-//! [`all_timelines`](wsn_link_sim::catalog::all_timelines)) or a path to a
+//! [`all_timelines`]) or a path to a
 //! JSON file holding a [`ScenarioTimeline`] (the same externally-tagged
 //! event array `serde_json` round-trips). The run replays the events over
 //! the named scenario with per-epoch progress snapshots, renders the

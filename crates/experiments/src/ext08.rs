@@ -1,7 +1,7 @@
 //! Extension 8: node mobility.
 //!
 //! Sec. VIII-D's final deferred factor: "the mobility of a node also
-//! [has] a possibly large impact on the performance". A sender walks down
+//! \[has\] a possibly large impact on the performance". A sender walks down
 //! the hallway away from the receiver while streaming; the windowed PRR
 //! time series shows the link sliding through the Fig. 6(d) zones, and a
 //! patrol trajectory shows the periodic quality swings that static tuning

@@ -8,8 +8,8 @@
 //! arrival, not the actual write — so a sender that falls behind does not
 //! hide queueing delay (no coordinated omission).
 //!
-//! One run per io-model: spawn `repro serve --io-model M` as a child
-//! process (or target `--addr` for an already-running server), park
+//! One run: spawn `repro serve` as a child process (or target `--addr`
+//! for an already-running server), park
 //! `connections` idle connections on it, calibrate capacity with a short
 //! closed-loop burst, then drive three open-loop phases at 1×, 2×, and 4×
 //! the base rate, where 1× is 40 % of the calibrated closed-loop
@@ -84,10 +84,8 @@ pub struct LoadgenOptions {
     /// Arrival process for the open-loop schedule.
     pub arrivals: Arrivals,
     /// Benchmark an already-running server at this address instead of
-    /// spawning one per io-model.
+    /// spawning one.
     pub addr: Option<String>,
-    /// io-models to spawn-and-bench when `addr` is `None`.
-    pub io_models: Vec<String>,
     /// Free-form label copied into the report.
     pub label: String,
     /// Seed for the op mix and the arrival schedule.
@@ -103,7 +101,6 @@ impl Default for LoadgenOptions {
             rate: None,
             arrivals: Arrivals::Poisson,
             addr: None,
-            io_models: vec!["epoll".to_string(), "threads".to_string()],
             label: String::new(),
             seed: 0x10AD,
         }
@@ -175,10 +172,11 @@ pub struct PhaseReport {
     pub analytic_predict: LatencySummary,
 }
 
-/// One io-model's full bench: calibration, three phases, idle-probe.
+/// One server's full bench: calibration, three phases, idle-probe.
 #[derive(Debug, Clone, Serialize)]
 pub struct RunReport {
-    /// `"epoll"`, `"threads"`, or `"external"`.
+    /// `"epoll"` for a spawned server (its connection front-end), or
+    /// `"external"` for one reached through `--addr`.
     pub io_model: String,
     /// Closed-loop calibration throughput, /s.
     pub calibrated_qps: f64,
@@ -408,20 +406,12 @@ enum ServerUnderTest {
 }
 
 impl ServerUnderTest {
-    /// Spawns `repro serve --io-model <model>` (this same binary) on an
-    /// OS-assigned port and parses the announced address off stdout.
-    fn spawn(io_model: &str) -> Result<Self, String> {
+    /// Spawns `repro serve` (this same binary) on an OS-assigned port and
+    /// parses the announced address off stdout.
+    fn spawn() -> Result<Self, String> {
         let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
         let mut child = Command::new(&exe)
-            .args([
-                "serve",
-                "--addr",
-                "127.0.0.1:0",
-                "--io-model",
-                io_model,
-                "--slow-ms",
-                "0",
-            ])
+            .args(["serve", "--addr", "127.0.0.1:0", "--slow-ms", "0"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .stdin(Stdio::null())
@@ -736,30 +726,28 @@ fn bench_server(
     })
 }
 
-/// Runs the whole benchmark: one [`RunReport`] per io-model (or a single
-/// `"external"` run when `addr` targets a server someone else started).
+/// Runs the whole benchmark: one [`RunReport`] for a spawned server, or
+/// for the server someone else started at `addr` (labelled `"external"`).
 ///
 /// # Errors
 ///
 /// Returns a message when the server cannot be spawned or reached, a
 /// connection fails mid-setup, or calibration gets no answers.
 pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
-    let mut runs = Vec::new();
-    match &opts.addr {
+    let run = match &opts.addr {
         Some(addr) => {
             let server = ServerUnderTest::External { addr: addr.clone() };
-            runs.push(bench_server(&server, "external", opts)?);
+            bench_server(&server, "external", opts)?
         }
         None => {
-            for io_model in &opts.io_models {
-                let server = ServerUnderTest::spawn(io_model)?;
-                let run = bench_server(&server, io_model, opts);
-                let finish = server.finish();
-                runs.push(run?);
-                finish?;
-            }
+            let server = ServerUnderTest::spawn()?;
+            let run = bench_server(&server, "epoll", opts);
+            let finish = server.finish();
+            let run = run?;
+            finish?;
+            run
         }
-    }
+    };
     Ok(LoadgenReport {
         schema: "bench_serve_v1",
         label: opts.label.clone(),
@@ -768,7 +756,7 @@ pub fn run(opts: &LoadgenOptions) -> Result<LoadgenReport, String> {
         connections: opts.connections,
         senders: opts.senders,
         seed: opts.seed,
-        runs,
+        runs: vec![run],
     })
 }
 

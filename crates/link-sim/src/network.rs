@@ -1,6 +1,6 @@
 //! The shared-channel multi-link network simulator: N sender→receiver
 //! links from one [`Scenario`] run in a single event loop against a
-//! [`SharedAir`] that tracks who is transmitting when.
+//! `SharedAir` that tracks who is transmitting when.
 //!
 //! Where the single-link [`simulation`](crate::simulation) folds all
 //! contention into a fixed CCA busy probability, here both contention
@@ -20,7 +20,7 @@
 //! Two axes of scale were added by the dynamic-topology refactor:
 //!
 //! * **Timelines** — the run replays a
-//!   [`ScenarioTimeline`](wsn_params::timeline::ScenarioTimeline): the
+//!   [`ScenarioTimeline`]: the
 //!   scenario's own `join_s`/`leave_s` churn compiles into `Join`/`Leave`
 //!   events, and callers can merge explicit `Move`/`PowerChange`/storm
 //!   streams on top ([`NetworkSimulation::with_timeline`]). Events apply

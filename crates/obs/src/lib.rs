@@ -10,10 +10,10 @@
 //! * [`trace`] — per-request trace ids: 64-bit, rendered as 16 hex chars,
 //!   generated lock-free from a splitmix64 sequence so ids are unique
 //!   within a process and well-mixed across shards/threads.
-//! * [`metrics`] — a registry of named [`Counter`](metrics::Counter)s,
-//!   [`Gauge`](metrics::Gauge)s, and histograms, every one a relaxed
+//! * [`metrics`] — a registry of named [`Counter`]s,
+//!   [`Gauge`]s, and histograms, every one a relaxed
 //!   atomic — recording never takes a lock.
-//! * [`hist`] — the [`LogLinearHistogram`](hist::LogLinearHistogram):
+//! * [`hist`] — the [`LogLinearHistogram`]:
 //!   log₂ octaves split into 8 linear sub-buckets with interpolated
 //!   quantiles, bounding relative quantile error at ~12.5 % where a plain
 //!   power-of-two histogram is off by up to 2×.

@@ -1,5 +1,5 @@
 //! Node mobility — the last factor the paper's discussion defers ("the
-//! mobility of a node also [has] a possibly large impact on the
+//! mobility of a node also \[has\] a possibly large impact on the
 //! performance").
 //!
 //! A [`Trajectory`] maps simulation time to sender–receiver distance; the

@@ -30,28 +30,27 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Architecture: connections are owned by an I/O front-end selected by
-//! [`ServerConfig::io_model`]. The default [`IoModel::Epoll`] front-end
-//! is a sharded nonblocking event loop ([`reactor`], on a std-only
-//! syscall shim in [`sys`]) where an idle connection costs one file
-//! descriptor; [`IoModel::Threads`] is the classic
-//! blocking-reader-thread-per-connection pool, kept for differential
-//! testing. Either way, complete request lines are parsed and validated
-//! on the front-end thread, which also builds the request's cache key
-//! (the canonical bit pattern of every parameter) and probes the memory
-//! tier of the result cache with it: a hit is answered right there,
-//! without touching the queue or a worker, and so is a miss of bounded
-//! cost (every `predict`, and a `simulate` that is analytic or carries at
-//! most [`INLINE_MAX_PACKETS`] packets). Everything else — long
-//! simulations, grid scans, scenarios, expired requests, and the keyless
-//! control ops — is pushed onto a bounded [`queue::JobQueue`]; a fixed
-//! worker pool pops jobs, consults the tiered result cache again (the
-//! sharded in-memory [`cache`] over the optional persistent [`store`]),
-//! executes misses through the shared [`engine::Engine`], and sends the
-//! response line back through the connection's sink. `shutdown` closes
-//! the queue: pending jobs still get answers, later lines (hits included)
-//! are refused and their connections closed, then everything drains and
-//! `run` returns.
+//! Architecture: connections are owned by a sharded nonblocking event
+//! loop ([`reactor`], on a std-only syscall shim in [`sys`]) where an idle
+//! connection costs one file descriptor. Complete request lines are
+//! parsed and validated on the shard thread, which also builds the
+//! request's cache key (the canonical bit pattern of every parameter) and
+//! probes the memory tier of the result cache with it: a hit is answered
+//! right there, without touching the queue or a worker, and so is a miss
+//! of bounded cost (every `predict`, and a `simulate` that is analytic or
+//! carries at most [`INLINE_MAX_PACKETS`] packets). Everything else —
+//! long simulations, grid scans, scenarios, expired requests, and the
+//! keyless control ops — is pushed onto a bounded [`queue::JobQueue`],
+//! or refused with `overloaded` at once when it is full; a fixed worker
+//! pool pops jobs, consults the tiered result cache again (the sharded
+//! in-memory [`cache`] over the optional persistent [`store`]), executes
+//! misses through the shared [`engine::Engine`], and hands the response
+//! line back to the connection's shard. Every parsed line gets exactly one
+//! answer, even after the client half-closes. `shutdown` closes the
+//! queue: pending jobs still get answers, later lines (hits included) are
+//! refused and their connections closed, then everything drains and
+//! `run` returns. On targets without the epoll shim, `run` fails with
+//! an `Unsupported` I/O error.
 
 #![deny(unsafe_code)] // unsafe lives only in `sys`, behind its own allow
 #![warn(missing_docs)]
@@ -65,11 +64,10 @@ pub mod stats;
 pub mod store;
 pub mod sys;
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wsn_obs::log::EventLog;
@@ -81,49 +79,8 @@ use crate::protocol::{
     cache_key, envelope_err, envelope_ok, parse_request, ErrCode, Request, RequestBody,
 };
 use crate::queue::{JobQueue, PushError};
-use crate::reactor::Reactor;
+use crate::reactor::{Reactor, ReactorConn};
 use crate::store::Store;
-
-/// Which I/O front-end owns the connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoModel {
-    /// Sharded nonblocking event loops over epoll (Linux x86-64/AArch64):
-    /// an idle connection costs a file descriptor, not a thread.
-    Epoll,
-    /// One blocking reader thread per connection — the original model,
-    /// kept for differential testing and non-epoll targets.
-    Threads,
-}
-
-impl IoModel {
-    /// The CLI/wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            IoModel::Epoll => "epoll",
-            IoModel::Threads => "threads",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        Some(match name {
-            "epoll" => IoModel::Epoll,
-            "threads" => IoModel::Threads,
-            _ => return None,
-        })
-    }
-}
-
-impl Default for IoModel {
-    /// Epoll where the platform supports it, threads elsewhere.
-    fn default() -> Self {
-        if sys::SUPPORTED {
-            IoModel::Epoll
-        } else {
-            IoModel::Threads
-        }
-    }
-}
 
 /// Tuning knobs for one server instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -146,10 +103,7 @@ pub struct ServerConfig {
     /// Requests whose execution takes at least this long also draw a
     /// `slow_request` warning in the access log; 0 disables the check.
     pub slow_request_ms: u64,
-    /// The connection-handling front-end.
-    pub io_model: IoModel,
-    /// Event-loop shards under [`IoModel::Epoll`]; 0 means available
-    /// parallelism capped at 4. Ignored under [`IoModel::Threads`].
+    /// Event-loop shards; 0 means available parallelism capped at 4.
     pub reactor_shards: usize,
     /// Directory of the persistent result store (tier 2 of the cache);
     /// `None` keeps the cache memory-only.
@@ -166,14 +120,13 @@ impl Default for ServerConfig {
             cache_shards: 16,
             access_log: None,
             slow_request_ms: 1_000,
-            io_model: IoModel::default(),
             reactor_shards: 0,
             store: None,
         }
     }
 }
 
-/// Observability shared by every reader and worker thread: the (possibly
+/// Observability shared by every shard and worker thread: the (possibly
 /// disabled) access log, the trace-id generator, and the slow threshold.
 #[derive(Debug)]
 struct ServeObs {
@@ -182,10 +135,8 @@ struct ServeObs {
     slow_us: u64,
 }
 
-/// Everything a connection front-end needs to turn a request line into an
-/// inline answer or a queued job — shared by the blocking reader
-/// threads and the reactor shards, so both io-models validate, answer,
-/// enqueue, and account identically.
+/// Everything a reactor shard needs to turn a request line into an inline
+/// answer or a queued job.
 #[derive(Debug)]
 pub(crate) struct ReactorCtx {
     pub(crate) engine: Arc<Engine>,
@@ -198,12 +149,7 @@ pub(crate) struct ReactorCtx {
     pub(crate) shutdown: Arc<AtomicBool>,
 }
 
-/// How long a full queue makes a *blocking* pusher wait before refusing
-/// the job. The reactor pushes with zero patience instead — an event
-/// loop must never block.
-const PUSH_PATIENCE: Duration = Duration::from_secs(2);
-
-/// Accept-loop and reader polling period while idle.
+/// Accept-loop polling period while idle.
 const POLL: Duration = Duration::from_millis(25);
 
 /// What can go wrong starting or running a server.
@@ -262,42 +208,16 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// A connection's write half as workers see it: something that accepts
-/// one response line. The blocking model writes straight to the socket
-/// under a lock; the reactor buffers and wakes the owning shard.
-pub(crate) trait ResponseSink: Send + Sync + std::fmt::Debug {
-    /// Delivers one response line (terminator added by the sink). Failed
-    /// or late deliveries are dropped silently — a vanished client is
-    /// not a server error.
-    fn send_line(&self, line: &str);
-}
-
-/// One client connection's write half under [`IoModel::Threads`], shared
-/// between its reader thread and every worker answering its requests.
-#[derive(Debug)]
-struct Conn {
-    writer: Mutex<TcpStream>,
-}
-
-impl ResponseSink for Conn {
-    /// Writes one response line; a failed write means the client left,
-    /// which is their prerogative — the server stays up.
-    fn send_line(&self, line: &str) {
-        let mut writer = self.writer.lock().expect("connection writer");
-        let _ = writer.write_all(line.as_bytes());
-        let _ = writer.write_all(b"\n");
-        let _ = writer.flush();
-    }
-}
-
-/// One unit of work for the pool.
+/// One parsed request, answered inline or by the pool.
 #[derive(Debug)]
 pub(crate) struct Job {
     request: Request,
     /// The request's cache key, built once on the front end; `None` for
     /// the live control ops.
     key: Option<String>,
-    conn: Arc<dyn ResponseSink>,
+    /// The connection the line came from; the job's one answer goes out
+    /// through [`ReactorConn::answer`].
+    conn: Arc<ReactorConn>,
     /// Per-request trace id, rendered once (16 hex chars) when the line is
     /// parsed; echoed in the response envelope and every access-log record
     /// so a client complaint can be joined to the log.
@@ -382,9 +302,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Io`] if the listening socket (or, under
-    /// [`IoModel::Epoll`], the reactor) itself fails; per-connection
-    /// errors never abort the server.
+    /// [`ServeError::Io`] if the listening socket or the reactor itself
+    /// fails (on a target without the epoll shim, at once with
+    /// `ErrorKind::Unsupported`); per-connection errors never abort the
+    /// server.
     pub fn run(self) -> Result<(), ServeError> {
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism().map_or(4, |n| n.get().min(8))
@@ -409,7 +330,6 @@ impl Server {
         obs.log
             .info("server_started")
             .str("addr", &self.local.to_string())
-            .str("io_model", self.config.io_model.name())
             .u64("threads", threads as u64)
             .u64("queue_depth", self.config.queue_depth as u64)
             .emit();
@@ -417,6 +337,19 @@ impl Server {
         self.listener
             .set_nonblocking(true)
             .map_err(ServeError::Io)?;
+        let ctx = Arc::new(ReactorCtx {
+            engine: Arc::clone(&engine),
+            queue: Arc::clone(&queue),
+            obs: Arc::clone(&obs),
+            default_deadline_ms: self.config.default_deadline_ms,
+            shutdown: Arc::clone(&shutdown),
+        });
+        let shards = if self.config.reactor_shards == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
+        } else {
+            self.config.reactor_shards
+        };
+        let mut reactor = Reactor::start(shards, ctx).map_err(ServeError::Io)?;
 
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -429,77 +362,30 @@ impl Server {
             }));
         }
 
-        let ctx = Arc::new(ReactorCtx {
-            engine: Arc::clone(&engine),
-            queue: Arc::clone(&queue),
-            obs: Arc::clone(&obs),
-            default_deadline_ms: self.config.default_deadline_ms,
-            shutdown: Arc::clone(&shutdown),
-        });
-
-        match self.config.io_model {
-            IoModel::Epoll => {
-                let shards = if self.config.reactor_shards == 0 {
-                    std::thread::available_parallelism().map_or(1, |n| n.get().min(4))
-                } else {
-                    self.config.reactor_shards
-                };
-                let mut reactor =
-                    Reactor::start(shards, Arc::clone(&ctx)).map_err(ServeError::Io)?;
-                while !shutdown.load(Ordering::SeqCst) {
-                    match self.listener.accept() {
-                        Ok((stream, peer)) => {
-                            // Response lines are small; Nagle+delayed-ACK
-                            // would add ~40 ms to every answer.
-                            let _ = stream.set_nodelay(true);
-                            reactor.assign(stream, peer);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(ServeError::Io(e)),
-                    }
+        while !shutdown.load(Ordering::SeqCst) {
+            match self.listener.accept() {
+                Ok((stream, peer)) => {
+                    // Response lines are small; Nagle+delayed-ACK would add
+                    // ~40 ms to every answer.
+                    let _ = stream.set_nodelay(true);
+                    reactor.assign(stream, peer);
                 }
-                // Graceful drain: the queue is closed, workers finish
-                // every pending job (buffering answers through the still-
-                // running shards), and only then do the shards stop and
-                // deliver what remains.
-                queue.close();
-                for worker in workers {
-                    let _ = worker.join();
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    std::thread::sleep(POLL);
                 }
-                reactor.shutdown();
-            }
-            IoModel::Threads => {
-                let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-                while !shutdown.load(Ordering::SeqCst) {
-                    match self.listener.accept() {
-                        Ok((stream, peer)) => {
-                            let _ = stream.set_nodelay(true);
-                            let ctx = Arc::clone(&ctx);
-                            readers.push(std::thread::spawn(move || {
-                                connection_loop(stream, peer, &ctx);
-                            }));
-                            readers.retain(|r| !r.is_finished());
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(POLL);
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(ServeError::Io(e)),
-                    }
-                }
-                // Graceful drain: no new jobs, pending ones still answered.
-                queue.close();
-                for reader in readers {
-                    let _ = reader.join();
-                }
-                for worker in workers {
-                    let _ = worker.join();
-                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ServeError::Io(e)),
             }
         }
+        // Graceful drain: the queue is closed, workers finish every
+        // pending job (buffering answers through the still-running
+        // shards), and only then do the shards stop and deliver what
+        // remains.
+        queue.close();
+        for worker in workers {
+            let _ = worker.join();
+        }
+        reactor.shutdown();
 
         let snapshot = engine.stats.snapshot(
             engine.cache.hits(),
@@ -564,7 +450,7 @@ fn respond(
     let (id, op, trace) = (&job.request.id, job.request.op, job.trace.as_str());
     match result {
         Ok(answer) => {
-            job.conn.send_line(&envelope_ok(
+            job.conn.answer(&envelope_ok(
                 id,
                 op,
                 answer.cached,
@@ -594,7 +480,7 @@ fn respond(
             }
         }
         Err(error) => {
-            job.conn.send_line(&envelope_err(
+            job.conn.answer(&envelope_err(
                 id,
                 Some(op),
                 Some(trace),
@@ -644,7 +530,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
 
         if popped > job.deadline {
             let overdue = popped.duration_since(job.deadline).as_millis();
-            job.conn.send_line(&envelope_err(
+            job.conn.answer(&envelope_err(
                 id,
                 Some(op),
                 Some(trace),
@@ -722,11 +608,9 @@ fn runs_inline(body: &RequestBody) -> bool {
     }
 }
 
-/// Validates one request line, then answers it on the spot or enqueues it
-/// — the single path shared by both io-models, so they reject, answer,
-/// account, and log identically. The only model-specific choice is
-/// `patience`: how long a full queue may block the caller (2 s for a
-/// dedicated reader thread, zero for an event-loop shard).
+/// Validates one request line, then answers it on the spot or enqueues it.
+/// A full queue refuses the job at once with `overloaded`: a shard must
+/// never block, or every connection on it would stall.
 ///
 /// Unless the request has expired or a `shutdown` has run, two kinds of
 /// request are answered on the calling thread through [`respond`]: a
@@ -741,10 +625,9 @@ fn runs_inline(body: &RequestBody) -> bool {
 /// always take the queue.
 pub(crate) fn handle_request_line(
     line: &str,
-    sink: &Arc<dyn ResponseSink>,
+    conn: &Arc<ReactorConn>,
     peer: &Arc<str>,
     ctx: &ReactorCtx,
-    patience: Duration,
 ) -> LineDisposition {
     if line.trim().is_empty() {
         return LineDisposition::Continue;
@@ -753,7 +636,7 @@ pub(crate) fn handle_request_line(
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(rejection) => {
-            sink.send_line(&envelope_err(
+            conn.send_line(&envelope_err(
                 &rejection.id,
                 None,
                 None,
@@ -773,10 +656,11 @@ pub(crate) fn handle_request_line(
         }
     };
     let budget_ms = request.deadline_ms.unwrap_or(ctx.default_deadline_ms);
+    conn.begin_job();
     let mut job = Job {
         key: cache_key(&request.body),
         deadline: started + Duration::from_millis(budget_ms),
-        conn: Arc::clone(sink),
+        conn: Arc::clone(conn),
         trace: ctx.obs.traces.next().to_string(),
         enqueued: started,
         peer: Arc::clone(peer),
@@ -804,11 +688,11 @@ pub(crate) fn handle_request_line(
         }
     }
     ctx.engine.stats.record_enqueued();
-    match ctx.queue.push(job, patience) {
+    match ctx.queue.push(job) {
         Ok(()) => LineDisposition::Continue,
         Err(PushError::Full(job)) => {
             ctx.engine.stats.record_push_refused();
-            job.conn.send_line(&envelope_err(
+            job.conn.answer(&envelope_err(
                 &job.request.id,
                 Some(job.request.op),
                 Some(&job.trace),
@@ -827,7 +711,7 @@ pub(crate) fn handle_request_line(
         }
         Err(PushError::Closed(job)) => {
             ctx.engine.stats.record_push_refused();
-            job.conn.send_line(&envelope_err(
+            job.conn.answer(&envelope_err(
                 &job.request.id,
                 Some(job.request.op),
                 Some(&job.trace),
@@ -839,153 +723,20 @@ pub(crate) fn handle_request_line(
     }
 }
 
-/// Outcome of reading one line off a connection.
-enum LineRead {
-    /// A complete line landed in the buffer.
-    Line,
-    /// Clean end of stream.
-    Eof,
-    /// Server-wide shutdown observed while idle.
-    Shutdown,
-    /// The line exceeded [`protocol::MAX_LINE_BYTES`].
-    Oversized,
-    /// The connection broke.
-    Failed,
-}
-
-/// Reads one `\n`-terminated line, polling the shutdown flag on read
-/// timeouts and refusing lines longer than the protocol cap.
-fn read_line_capped(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> LineRead {
-    buf.clear();
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(chunk) => chunk,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // Timeouts only end an *idle* wait; mid-line we keep
-                // collecting so a slow writer is not cut off.
-                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
-                    return LineRead::Shutdown;
-                }
-                continue;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return LineRead::Failed,
-        };
-        if chunk.is_empty() {
-            return if buf.is_empty() {
-                LineRead::Eof
-            } else {
-                LineRead::Line // unterminated final line still counts
-            };
-        }
-        match chunk.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                buf.extend_from_slice(&chunk[..pos]);
-                reader.consume(pos + 1);
-                return if buf.len() > protocol::MAX_LINE_BYTES {
-                    LineRead::Oversized
-                } else {
-                    LineRead::Line
-                };
-            }
-            None => {
-                let n = chunk.len();
-                buf.extend_from_slice(chunk);
-                reader.consume(n);
-                if buf.len() > protocol::MAX_LINE_BYTES {
-                    return LineRead::Oversized;
-                }
-            }
-        }
-    }
-}
-
-/// Serves one client under [`IoModel::Threads`]: reads lines, validates,
-/// enqueues; malformed input draws an error response, never a dead
-/// server.
-fn connection_loop(stream: TcpStream, peer: SocketAddr, ctx: &ReactorCtx) {
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let sink: Arc<dyn ResponseSink> = Arc::new(Conn {
-        writer: Mutex::new(stream),
-    });
-    let peer: Arc<str> = Arc::from(peer.to_string());
-    let mut reader = BufReader::new(read_half);
-    let mut buf: Vec<u8> = Vec::new();
-
-    loop {
-        match read_line_capped(&mut reader, &mut buf, &ctx.shutdown) {
-            LineRead::Eof | LineRead::Shutdown | LineRead::Failed => return,
-            LineRead::Oversized => {
-                sink.send_line(&envelope_err(
-                    "null",
-                    None,
-                    None,
-                    ErrCode::Oversized,
-                    &format!(
-                        "request line exceeds {} bytes; closing connection",
-                        protocol::MAX_LINE_BYTES
-                    ),
-                ));
-                ctx.engine.stats.record_rejected(None);
-                ctx.obs
-                    .log
-                    .warn("oversized_line")
-                    .str("peer", &peer)
-                    .u64("limit_bytes", protocol::MAX_LINE_BYTES as u64)
-                    .emit();
-                // Absorb what the client already sent (bounded) before
-                // closing, so the error line is not clobbered by a reset.
-                let mut drained = 0usize;
-                while drained < (8 << 20) {
-                    match reader.fill_buf() {
-                        Ok([]) | Err(_) => break,
-                        Ok(chunk) => {
-                            let n = chunk.len();
-                            drained += n;
-                            reader.consume(n);
-                        }
-                    }
-                }
-                return;
-            }
-            LineRead::Line => {}
-        }
-        let line = String::from_utf8_lossy(&buf);
-        match handle_request_line(&line, &sink, &peer, ctx, PUSH_PATIENCE) {
-            LineDisposition::Continue => {}
-            LineDisposition::Close => return,
-        }
-    }
-}
-
 /// Convenient glob-import of the serving layer.
 pub mod prelude {
     pub use crate::engine::{Engine, ExecError};
     pub use crate::protocol::{ErrCode, Op, Request, RequestBody};
     pub use crate::stats::{LatencyQuantiles, ServeStats, StatsSnapshot};
     pub use crate::store::Store;
-    pub use crate::{IoModel, ServeError, Server, ServerConfig};
+    pub use crate::{ServeError, Server, ServerConfig};
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
 
     fn request_line(client: &mut TcpStream, line: &str) -> String {
         writeln!(client, "{line}").unwrap();
@@ -996,10 +747,10 @@ mod tests {
         response
     }
 
-    fn roundtrip_on(io_model: IoModel) {
+    #[test]
+    fn bind_run_query_shutdown_roundtrip() {
         let server = Server::bind(ServerConfig {
             threads: 2,
-            io_model,
             ..ServerConfig::default()
         })
         .unwrap();
@@ -1017,16 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn bind_run_query_shutdown_roundtrip() {
-        roundtrip_on(IoModel::default());
-    }
-
-    #[test]
-    fn bind_run_query_shutdown_roundtrip_on_threads_model() {
-        roundtrip_on(IoModel::Threads);
-    }
-
-    #[test]
     fn bind_failure_is_a_typed_error() {
         let err = Server::bind(ServerConfig {
             addr: "256.0.0.1:1".to_string(),
@@ -1037,14 +778,5 @@ mod tests {
             ServeError::Bind { addr, .. } => assert_eq!(addr, "256.0.0.1:1"),
             other => panic!("expected Bind, got {other}"),
         }
-    }
-
-    #[test]
-    fn io_model_names_round_trip() {
-        assert_eq!(IoModel::from_name("epoll"), Some(IoModel::Epoll));
-        assert_eq!(IoModel::from_name("threads"), Some(IoModel::Threads));
-        assert_eq!(IoModel::from_name("fibers"), None);
-        assert_eq!(IoModel::Epoll.name(), "epoll");
-        assert_eq!(IoModel::Threads.name(), "threads");
     }
 }

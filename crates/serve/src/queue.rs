@@ -1,20 +1,19 @@
 //! A bounded MPMC job queue with backpressure and close semantics.
 //!
-//! Connection threads push parsed requests; the worker pool pops them.
-//! The queue is deliberately tiny machinery — one mutex, two condvars —
+//! Reactor shards push parsed requests; the worker pool pops them. The
+//! queue is deliberately tiny machinery — one mutex, one condvar —
 //! because the jobs themselves are coarse (a whole simulation or grid
 //! search), so queue overhead is noise.
 //!
-//! Backpressure: [`JobQueue::push`] blocks up to a patience budget when
-//! the queue is full, then gives the job back so the caller can answer
-//! the client with a "queue full" error instead of buffering unboundedly.
-//! Close: [`JobQueue::close`] wakes everyone; pushers get their job back,
-//! poppers drain what remains and then see `None` — that is the graceful
-//! shutdown path.
+//! Backpressure: [`JobQueue::push`] never blocks. A full queue gives the
+//! job back at once, so the caller can answer the client with a "queue
+//! full" error instead of buffering unboundedly or stalling its event
+//! loop. Close: [`JobQueue::close`] wakes every popper; later pushes get
+//! their job back, poppers drain what remains and then see `None` — that
+//! is the graceful shutdown path.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 #[derive(Debug)]
 struct State<T> {
@@ -25,7 +24,7 @@ struct State<T> {
 /// Why a push was refused; the job is handed back either way.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue stayed full for the whole patience budget.
+    /// The queue was full.
     Full(T),
     /// The queue was closed (server shutting down).
     Closed(T),
@@ -36,7 +35,6 @@ pub enum PushError<T> {
 pub struct JobQueue<T> {
     state: Mutex<State<T>>,
     not_empty: Condvar,
-    not_full: Condvar,
     cap: usize,
 }
 
@@ -49,43 +47,28 @@ impl<T> JobQueue<T> {
                 closed: false,
             }),
             not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             cap: cap.max(1),
         }
     }
 
-    /// Enqueues `item`, waiting up to `patience` for room.
+    /// Enqueues `item` if there is room.
     ///
     /// # Errors
     ///
-    /// [`PushError::Full`] when the queue never drained within `patience`;
+    /// [`PushError::Full`] when the queue holds `cap` jobs;
     /// [`PushError::Closed`] when the queue was closed. Both return the
     /// item.
-    pub fn push(&self, item: T, patience: Duration) -> Result<(), PushError<T>> {
-        let deadline = Instant::now() + patience;
+    pub fn push(&self, item: T) -> Result<(), PushError<T>> {
         let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if state.closed {
-                return Err(PushError::Closed(item));
-            }
-            if state.items.len() < self.cap {
-                state.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PushError::Full(item));
-            }
-            let (next, timeout) = self
-                .not_full
-                .wait_timeout(state, deadline - now)
-                .expect("queue lock");
-            state = next;
-            if timeout.timed_out() && state.items.len() >= self.cap && !state.closed {
-                return Err(PushError::Full(item));
-            }
+        if state.closed {
+            return Err(PushError::Closed(item));
         }
+        if state.items.len() >= self.cap {
+            return Err(PushError::Full(item));
+        }
+        state.items.push_back(item);
+        self.not_empty.notify_one();
+        Ok(())
     }
 
     /// Dequeues the next job, blocking while the queue is open and empty.
@@ -94,7 +77,6 @@ impl<T> JobQueue<T> {
         let mut state = self.state.lock().expect("queue lock");
         loop {
             if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
                 return Some(item);
             }
             if state.closed {
@@ -105,12 +87,11 @@ impl<T> JobQueue<T> {
     }
 
     /// Closes the queue: pending jobs stay poppable, new pushes fail, and
-    /// every waiter wakes. Idempotent.
+    /// every waiting popper wakes. Idempotent.
     pub fn close(&self) {
         let mut state = self.state.lock().expect("queue lock");
         state.closed = true;
         self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 
     /// True once [`close`](Self::close) has run.
@@ -133,12 +114,13 @@ impl<T> JobQueue<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn fifo_order_and_len() {
         let q = JobQueue::new(4);
-        q.push(1, Duration::ZERO).unwrap();
-        q.push(2, Duration::ZERO).unwrap();
+        q.push(1).unwrap();
+        q.push(2).unwrap();
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.pop(), Some(2));
@@ -146,10 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn full_queue_refuses_after_patience() {
+    fn full_queue_refuses_at_once() {
         let q = JobQueue::new(1);
-        q.push(1, Duration::ZERO).unwrap();
-        match q.push(2, Duration::from_millis(10)) {
+        q.push(1).unwrap();
+        match q.push(2) {
             Err(PushError::Full(2)) => {}
             other => panic!("expected Full(2), got {other:?}"),
         }
@@ -158,29 +140,14 @@ mod tests {
     #[test]
     fn close_drains_then_ends() {
         let q = JobQueue::new(4);
-        q.push(7, Duration::ZERO).unwrap();
+        q.push(7).unwrap();
         q.close();
         assert!(q.is_closed());
-        assert_eq!(q.push(8, Duration::ZERO), Err(PushError::Closed(8)));
+        assert_eq!(q.push(8), Err(PushError::Closed(8)));
         // The job enqueued before close is still served…
         assert_eq!(q.pop(), Some(7));
         // …and only then does the queue end.
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn blocked_pusher_wakes_when_a_slot_frees() {
-        let q = Arc::new(JobQueue::new(1));
-        q.push(1, Duration::ZERO).unwrap();
-        let pusher = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(2, Duration::from_secs(5)))
-        };
-        // Give the pusher time to block, then free the slot.
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.pop(), Some(1));
-        pusher.join().unwrap().unwrap();
-        assert_eq!(q.pop(), Some(2));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! Each shard runs one thread around [`crate::sys::Epoll::wait`]. A connection
 //! lives entirely on its shard: the shard reads into a per-connection
-//! buffer, frames complete `\n`-terminated lines, and parses them with
-//! the same `handle_request_line` path as the blocking model.
+//! buffer, frames complete `\n`-terminated lines (and, at end of input, a
+//! final line without one), and parses them with `handle_request_line`.
 //! A memory-tier cache hit, or a miss of bounded cost (see
 //! [`crate::INLINE_MAX_PACKETS`]), is answered on the shard itself: the
 //! answer lands in the connection's write buffer and the `flush_conn` that
@@ -16,24 +16,27 @@
 //! shard flushes opportunistically and falls back to `EPOLLOUT` interest
 //! when the socket pushes back.
 //!
-//! Overload semantics differ deliberately from the blocking model: a
-//! reader thread can afford to *block* on a full queue (2 s push
-//! patience), an event loop cannot — one stalled push would freeze every
-//! connection on the shard. Reactor pushes use zero patience and answer
-//! `overloaded` immediately, which is also the honest signal an open-loop
-//! client wants under saturation.
+//! A full queue never blocks a shard — one stalled push would freeze every
+//! connection on it. The push is refused at once and the line answered
+//! `overloaded`, which is also the honest signal an open-loop client wants
+//! under saturation.
+//!
+//! A connection that has seen end of input (or must close after a refusal)
+//! drains: it stops asking for input, and closes once its out-buffer is
+//! empty **and** every job built from its lines has been answered, so a
+//! client that half-closes still gets every answer.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::protocol::MAX_LINE_BYTES;
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use crate::{handle_request_line, LineDisposition, ReactorCtx, ResponseSink};
+use crate::{handle_request_line, LineDisposition, ReactorCtx};
 
 /// Eventfd wake token; connection tokens start above it.
 const WAKE_TOKEN: u64 = 0;
@@ -69,18 +72,35 @@ pub(crate) struct ReactorConn {
     token: u64,
     shard: Arc<ShardShared>,
     out: Mutex<Vec<u8>>,
+    /// Jobs built from this connection's lines and not yet answered; a
+    /// draining connection stays open until this reaches zero.
+    jobs: AtomicUsize,
     /// Set once the shard closed (or condemned) the connection; late
-    /// answers are dropped, matching the blocking model's "a failed write
-    /// means the client left".
+    /// answers are dropped, since a vanished client is not a server error.
     dead: AtomicBool,
 }
 
-impl ResponseSink for ReactorConn {
-    fn send_line(&self, line: &str) {
-        if self.dead.load(Ordering::Acquire) {
-            return;
-        }
-        {
+impl ReactorConn {
+    /// Delivers a line that answers no job (a rejected or oversized line).
+    pub(crate) fn send_line(&self, line: &str) {
+        self.deliver(line, false);
+    }
+
+    /// Counts one more job built from this connection's lines; its
+    /// [`answer`](Self::answer) ends it.
+    pub(crate) fn begin_job(&self) {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Delivers a job's one answer and ends the job.
+    pub(crate) fn answer(&self, line: &str) {
+        self.deliver(line, true);
+    }
+
+    /// Appends `line` and its terminator to the out-buffer, then wakes the
+    /// shard to flush it.
+    fn deliver(&self, line: &str, ends_job: bool) {
+        if !self.dead.load(Ordering::Acquire) {
             let mut out = self.out.lock().expect("reactor out buffer");
             if out.len() + line.len() + 1 > MAX_OUT_BUFFER {
                 // The client has MAX_OUT_BUFFER of unread answers; it is
@@ -91,6 +111,12 @@ impl ResponseSink for ReactorConn {
                 out.extend_from_slice(line.as_bytes());
                 out.push(b'\n');
             }
+        }
+        if ends_job {
+            // After the append and before the wake, so the flush the wake
+            // triggers sees this answer in the buffer whenever it sees the
+            // count at zero.
+            self.jobs.fetch_sub(1, Ordering::Release);
         }
         self.shard
             .dirty
@@ -113,10 +139,11 @@ struct ConnState {
     /// How far into `rbuf` is known to hold no newline, so each received
     /// byte is scanned for one once.
     scanned: usize,
-    /// Currently registered for `EPOLLOUT` as well as `EPOLLIN`.
-    want_write: bool,
-    /// Close once the out-buffer drains (EOF seen, fatal protocol error,
-    /// or queue closed for shutdown).
+    /// The epoll event set currently registered for the socket.
+    interest: u32,
+    /// No more input is read; close once the out-buffer is empty and every
+    /// job is answered (EOF seen, fatal protocol error, or queue closed
+    /// for shutdown).
     draining: bool,
     /// An oversized line is being absorbed: discard input until its
     /// terminating newline, then drain and close.
@@ -139,8 +166,7 @@ impl Reactor {
     /// # Errors
     ///
     /// Fails when an epoll instance or eventfd cannot be created — on
-    /// unsupported targets that is `ErrorKind::Unsupported`, and the
-    /// caller should fall back to the blocking model.
+    /// unsupported targets that is `ErrorKind::Unsupported`.
     pub fn start(shards: usize, ctx: Arc<ReactorCtx>) -> std::io::Result<Reactor> {
         let stop = Arc::new(AtomicBool::new(false));
         let mut shared = Vec::with_capacity(shards);
@@ -230,16 +256,15 @@ fn shard_loop(epoll: &Epoll, shard: &Arc<ShardShared>, ctx: &Arc<ReactorCtx>, st
             }
             let token = next_token;
             next_token += 1;
-            if epoll
-                .add(stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token)
-                .is_err()
-            {
+            let interest = EPOLLIN | EPOLLRDHUP;
+            if epoll.add(stream.as_raw_fd(), interest, token).is_err() {
                 continue;
             }
             let handle = Arc::new(ReactorConn {
                 token,
                 shard: Arc::clone(shard),
                 out: Mutex::new(Vec::new()),
+                jobs: AtomicUsize::new(0),
                 dead: AtomicBool::new(false),
             });
             conns.insert(
@@ -250,7 +275,7 @@ fn shard_loop(epoll: &Epoll, shard: &Arc<ShardShared>, ctx: &Arc<ReactorCtx>, st
                     peer: Arc::from(peer.to_string()),
                     rbuf: Vec::new(),
                     scanned: 0,
-                    want_write: false,
+                    interest,
                     draining: false,
                     absorbing: false,
                 },
@@ -296,7 +321,8 @@ fn close_conn(epoll: &Epoll, conns: &mut HashMap<u64, ConnState>, token: u64) {
 }
 
 /// Reads everything currently available on `token`, frames complete
-/// lines, and enqueues the requests they parse into.
+/// lines, and answers or enqueues the requests they parse into. At end of
+/// input, a final line without a newline still counts.
 fn handle_readable(
     epoll: &Epoll,
     conns: &mut HashMap<u64, ConnState>,
@@ -306,26 +332,38 @@ fn handle_readable(
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
+    if conn.draining {
+        // A draining connection no longer asks for input, so only a
+        // hang-up or an error lands here: nobody is left to answer.
+        close_conn(epoll, conns, token);
+        return;
+    }
     let mut tmp = [0u8; READ_CHUNK];
     loop {
         match conn.stream.read(&mut tmp) {
             Ok(0) => {
+                // What is left is at most MAX_LINE_BYTES: `process_lines`
+                // refuses a longer tail. Empty input is skipped.
+                let tail = String::from_utf8_lossy(&conn.rbuf);
+                handle_request_line(&tail, &conn.handle, &conn.peer, ctx);
                 conn.draining = true;
                 break;
             }
-            Ok(n) => {
-                if conn.absorbing {
-                    // Discard the rest of an oversized line; its newline
-                    // ends the absorption and the connection drains away.
-                    if let Some(pos) = tmp[..n].iter().position(|&b| b == b'\n') {
-                        let _ = pos;
-                        conn.absorbing = false;
-                        conn.draining = true;
-                        break;
-                    }
-                    continue;
+            Ok(n) if conn.absorbing => {
+                // Discard the rest of an oversized line; its newline ends
+                // the absorption and the connection drains away.
+                if tmp[..n].contains(&b'\n') {
+                    conn.absorbing = false;
+                    conn.draining = true;
+                    break;
                 }
+            }
+            Ok(n) => {
                 conn.rbuf.extend_from_slice(&tmp[..n]);
+                process_lines(conn, ctx);
+                if conn.draining {
+                    break;
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -334,12 +372,7 @@ fn handle_readable(
                 return;
             }
         }
-        process_lines(conn, ctx);
-        if conn.draining || conn.absorbing {
-            break;
-        }
     }
-    process_lines(conn, ctx);
     flush_conn(epoll, conns, token);
 }
 
@@ -348,10 +381,6 @@ fn handle_readable(
 /// scanned for a newline once, and the consumed lines leave the buffer in
 /// one drain per call, so a pipelined burst costs time linear in its size.
 fn process_lines(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
-    if conn.draining || conn.absorbing {
-        return;
-    }
-    let sink: Arc<dyn ResponseSink> = conn.handle.clone();
     let mut consumed = 0;
     while let Some(pos) = conn.rbuf[conn.scanned..].iter().position(|&b| b == b'\n') {
         let end = conn.scanned + pos;
@@ -364,11 +393,7 @@ fn process_lines(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
             break;
         }
         let line = String::from_utf8_lossy(line_bytes);
-        // Zero push patience: an event loop must not block on a full
-        // queue, so overload answers `overloaded` at once.
-        if let LineDisposition::Close =
-            handle_request_line(&line, &sink, &conn.peer, ctx, Duration::ZERO)
-        {
+        if let LineDisposition::Close = handle_request_line(&line, &conn.handle, &conn.peer, ctx) {
             conn.draining = true;
             break;
         }
@@ -388,8 +413,7 @@ fn process_lines(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
     }
 }
 
-/// Answers an oversized line with the protocol error, mirroring the
-/// blocking model's response and accounting.
+/// Answers an oversized line with the protocol error and accounts for it.
 fn reject_oversized(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
     conn.handle.send_line(&crate::protocol::envelope_err(
         "null",
@@ -408,8 +432,9 @@ fn reject_oversized(conn: &mut ConnState, ctx: &Arc<ReactorCtx>) {
 }
 
 /// Writes as much of the connection's out-buffer as the socket accepts,
-/// toggling `EPOLLOUT` interest around the backlog and closing draining
-/// connections once empty.
+/// keeps the registered interest in step (input until draining, `EPOLLOUT`
+/// while a backlog remains), and closes a draining connection once its
+/// buffer is empty and every job it sent is answered.
 fn flush_conn(epoll: &Epoll, conns: &mut HashMap<u64, ConnState>, token: u64) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
@@ -418,6 +443,9 @@ fn flush_conn(epoll: &Epoll, conns: &mut HashMap<u64, ConnState>, token: u64) {
         close_conn(epoll, conns, token);
         return;
     }
+    // Read before the buffer: a worker appends its answer before it ends
+    // the job, so a zero here means every answer is already in `out`.
+    let answered = conn.handle.jobs.load(Ordering::Acquire) == 0;
     let mut broken = false;
     let empty = {
         let mut out = conn.handle.out.lock().expect("reactor out buffer");
@@ -440,24 +468,20 @@ fn flush_conn(epoll: &Epoll, conns: &mut HashMap<u64, ConnState>, token: u64) {
         out.drain(..written);
         out.is_empty()
     };
-    if broken {
+    if broken || (empty && answered && conn.draining) {
         close_conn(epoll, conns, token);
         return;
     }
-    if empty {
-        if conn.want_write {
-            conn.want_write = false;
-            let _ = epoll.modify(conn.stream.as_raw_fd(), EPOLLIN | EPOLLRDHUP, token);
-        }
-        if conn.draining {
-            close_conn(epoll, conns, token);
-        }
-    } else if !conn.want_write {
-        conn.want_write = true;
-        let _ = epoll.modify(
-            conn.stream.as_raw_fd(),
-            EPOLLIN | EPOLLRDHUP | EPOLLOUT,
-            token,
-        );
+    // A draining connection asks for no input: end of input stays readable
+    // under level triggering and would spin the shard while it waits.
+    let input = if conn.draining {
+        0
+    } else {
+        EPOLLIN | EPOLLRDHUP
+    };
+    let interest = if empty { input } else { input | EPOLLOUT };
+    if interest != conn.interest {
+        conn.interest = interest;
+        let _ = epoll.modify(conn.stream.as_raw_fd(), interest, token);
     }
 }

@@ -9,19 +9,12 @@
 //! above this module handles plain `io::Result`s and owned fds.
 //!
 //! Supported targets are x86-64 and AArch64 Linux (the hosts this repo
-//! builds on). Elsewhere the same API exists but every constructor
-//! returns [`std::io::ErrorKind::Unsupported`], and the server falls back to
-//! the blocking thread-per-connection model (see `IoModel` in the crate
-//! root). [`SUPPORTED`] reports which variant was compiled in.
+//! builds on). Elsewhere the same API exists so the workspace still
+//! compiles, but every constructor returns
+//! [`std::io::ErrorKind::Unsupported`], and `Server::run` fails with that
+//! error.
 
 #![allow(unsafe_code)]
-
-/// True when this build carries the real syscall shim (x86-64 or AArch64
-/// Linux); false on the stub fallback.
-pub const SUPPORTED: bool = cfg!(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-));
 
 /// Readiness: the fd is readable.
 pub const EPOLLIN: u32 = 0x001;
@@ -321,9 +314,8 @@ mod imp {
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod imp {
-    //! The stub fallback: same API, every constructor refuses, so callers
-    //! can gate on the one `Unsupported` error (or check
-    //! [`super::SUPPORTED`] first) and fall back to blocking I/O.
+    //! The stub fallback: same API, every constructor refuses with the one
+    //! `Unsupported` error.
 
     use super::EpollEvent;
     use std::io;
@@ -332,7 +324,7 @@ mod imp {
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "epoll reactor requires x86-64 or AArch64 Linux; use --io-model threads",
+            "epoll reactor requires x86-64 or AArch64 Linux",
         )
     }
 

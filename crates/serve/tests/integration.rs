@@ -537,15 +537,14 @@ fn every_envelope_leads_with_proto_1_and_other_protos_are_refused() {
 
 #[test]
 fn flooding_a_tiny_queue_draws_overloaded_codes_not_hangs() {
-    // Depth-1 queue behind one worker on the event-loop front-end, which
-    // pushes with zero patience: pipelining a slow job plus a burst of
+    // Depth-1 queue behind one worker, and a full queue refuses at
+    // once: pipelining a slow job plus a burst of
     // queue-bound simulations (too long to run on the front end) must
     // bounce at least one request with `overloaded`, and every request
     // still gets exactly one response line.
     let (addr, handle) = start(ServerConfig {
         threads: 1,
         queue_depth: 1,
-        io_model: wsn_serve::IoModel::Epoll,
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -771,12 +770,12 @@ fn trace_of(envelope: &str) -> &str {
     &envelope[idx..idx + 16]
 }
 
-fn cache_hit_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
+#[test]
+fn cache_hit_overtakes_a_slow_queued_miss() {
     // One worker, busy with a slow simulation: a cached answer must not
     // wait behind it, because the front end answers hits without queueing.
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        io_model,
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -805,16 +804,6 @@ fn cache_hit_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
     assert!(lines[1].contains("\"ok\":true"), "{lines:?}");
 
     shutdown(addr, handle);
-}
-
-#[test]
-fn cache_hit_overtakes_a_slow_queued_miss() {
-    cache_hit_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::default());
-}
-
-#[test]
-fn cache_hit_overtakes_a_slow_queued_miss_on_threads_model() {
-    cache_hit_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Threads);
 }
 
 #[test]
@@ -975,13 +964,13 @@ fn each_inline_hit_writes_one_access_log_record_with_its_trace() {
     let _ = std::fs::remove_file(&path);
 }
 
-fn shutdown_disconnects_a_client_that_keeps_sending_hits_on(io_model: wsn_serve::IoModel) {
+#[test]
+fn shutdown_disconnects_a_client_that_keeps_sending_hits() {
     // A client firing cached requests back to back never leaves its
     // reader idle, so shutdown must stop answering it inline: `run` has to
     // return and the connection has to close while it is still sending.
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        io_model,
         ..ServerConfig::default()
     });
     let line = r#"{"id":"h","op":"predict","config":{"distance_m":30.0}}"#;
@@ -1040,16 +1029,6 @@ fn shutdown_disconnects_a_client_that_keeps_sending_hits_on(io_model: wsn_serve:
     );
 }
 
-#[test]
-fn shutdown_disconnects_a_client_that_keeps_sending_hits() {
-    shutdown_disconnects_a_client_that_keeps_sending_hits_on(wsn_serve::IoModel::default());
-}
-
-#[test]
-fn shutdown_disconnects_a_client_that_keeps_sending_hits_on_threads_model() {
-    shutdown_disconnects_a_client_that_keeps_sending_hits_on(wsn_serve::IoModel::Threads);
-}
-
 /// A request line of exactly `len` bytes (newline excluded) whose `id` is
 /// one long string of 2- and 3-byte UTF-8 characters; returns the line
 /// and the id's JSON text as the envelope must echo it.
@@ -1074,10 +1053,9 @@ fn long_id_line(len: usize) -> (String, String) {
 /// `chunk` is its length), then a short request behind it; both answers
 /// must come back whole and in order. The key is warmed first, so both
 /// are memory-tier hits answered in arrival order.
-fn long_line_is_answered_whole_on(io_model: wsn_serve::IoModel, chunk: usize) {
+fn long_line_is_answered_whole(chunk: usize) {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        io_model,
         ..ServerConfig::default()
     });
     let (line, id) = long_id_line(wsn_serve::protocol::MAX_LINE_BYTES - 16);
@@ -1122,25 +1100,18 @@ fn long_line_is_answered_whole_on(io_model: wsn_serve::IoModel, chunk: usize) {
 #[test]
 fn string_id_just_under_the_line_cap_is_echoed_byte_for_byte() {
     let len = wsn_serve::protocol::MAX_LINE_BYTES;
-    long_line_is_answered_whole_on(wsn_serve::IoModel::Epoll, len);
-}
-
-#[test]
-fn string_id_just_under_the_line_cap_is_echoed_byte_for_byte_on_threads_model() {
-    let len = wsn_serve::protocol::MAX_LINE_BYTES;
-    long_line_is_answered_whole_on(wsn_serve::IoModel::Threads, len);
+    long_line_is_answered_whole(len);
 }
 
 #[test]
 fn line_just_under_the_cap_sent_in_small_chunks_is_framed_whole() {
-    long_line_is_answered_whole_on(wsn_serve::IoModel::Epoll, 1000);
+    long_line_is_answered_whole(1000);
 }
 
 #[test]
 fn pipelined_burst_in_one_write_is_answered_in_order() {
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        io_model: wsn_serve::IoModel::Epoll,
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1267,12 +1238,12 @@ fn simulations_up_to_the_inline_bound_skip_the_queue() {
     shutdown(addr, handle);
 }
 
-fn cheap_line_after_shutdown_is_refused_on(io_model: wsn_serve::IoModel) {
+#[test]
+fn cheap_line_after_shutdown_is_refused() {
     // Two workers: one stays busy with a slow simulation, so the server
     // keeps serving connections after the other one has run the shutdown.
     let (addr, handle) = start(ServerConfig {
         threads: 2,
-        io_model,
         ..ServerConfig::default()
     });
     let mut late = TcpStream::connect(addr).expect("connect");
@@ -1300,17 +1271,12 @@ fn cheap_line_after_shutdown_is_refused_on(io_model: wsn_serve::IoModel) {
     )
     .expect("send late");
     let mut refusal = String::new();
-    let read = BufReader::new(late.try_clone().expect("clone")).read_line(&mut refusal);
-    match (io_model, read) {
-        // A blocking reader polling between lines may see the shutdown
-        // while idle and close the connection without reading the line;
-        // it never answers it.
-        (wsn_serve::IoModel::Threads, Ok(0)) => {}
-        (_, Ok(_)) => {
+    match BufReader::new(late.try_clone().expect("clone")).read_line(&mut refusal) {
+        Ok(_) => {
             assert!(refusal.contains("\"code\":\"overloaded\""), "{refusal}");
             assert!(refusal.contains("server is shutting down"), "{refusal}");
         }
-        (_, Err(e)) => panic!("late line neither answered nor closed: {e}"),
+        Err(e) => panic!("late line neither answered nor closed: {e}"),
     }
 
     // The slow job still completes, and then the server exits.
@@ -1321,21 +1287,11 @@ fn cheap_line_after_shutdown_is_refused_on(io_model: wsn_serve::IoModel) {
 }
 
 #[test]
-fn cheap_line_after_shutdown_is_refused() {
-    cheap_line_after_shutdown_is_refused_on(wsn_serve::IoModel::Epoll);
-}
-
-#[test]
-fn cheap_line_after_shutdown_is_refused_on_threads_model() {
-    cheap_line_after_shutdown_is_refused_on(wsn_serve::IoModel::Threads);
-}
-
-fn cheap_miss_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
+fn cheap_miss_overtakes_a_slow_queued_miss() {
     // One worker, busy with a slow simulation: a predict nobody asked
     // before must not wait behind it, because the front end runs it.
     let (addr, handle) = start(ServerConfig {
         threads: 1,
-        io_model,
         ..ServerConfig::default()
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1360,12 +1316,64 @@ fn cheap_miss_overtakes_a_slow_queued_miss_on(io_model: wsn_serve::IoModel) {
     shutdown(addr, handle);
 }
 
-#[test]
-fn cheap_miss_overtakes_a_slow_queued_miss() {
-    cheap_miss_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Epoll);
+/// Reads lines off `stream` until the server closes it.
+fn read_to_eof(stream: &TcpStream) -> Vec<String> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    BufReader::new(stream.try_clone().expect("clone"))
+        .lines()
+        .map(|line| line.expect("read until the server closes"))
+        .collect()
 }
 
 #[test]
-fn cheap_miss_overtakes_a_slow_queued_miss_on_threads_model() {
-    cheap_miss_overtakes_a_slow_queued_miss_on(wsn_serve::IoModel::Threads);
+fn half_closed_client_still_gets_every_queued_answer() {
+    // One worker: the queued simulation is still running when the client
+    // half-closes, and its answer must arrive before the server closes.
+    let (addr, handle) = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let stream = TcpStream::connect(addr).expect("connect");
+    (&stream)
+        .write_all(
+            b"{\"id\":\"slow\",\"op\":\"simulate\",\"packets\":5000}\n\
+              {\"id\":\"cheap\",\"op\":\"predict\"}\n",
+        )
+        .expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let lines = read_to_eof(&stream);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].contains("\"id\":\"cheap\""), "{lines:?}");
+    assert!(lines[1].contains("\"id\":\"slow\""), "{lines:?}");
+    assert!(lines.iter().all(|l| l.contains("\"ok\":true")), "{lines:?}");
+
+    shutdown(addr, handle);
+}
+
+#[test]
+fn final_line_without_newline_is_answered_at_eof() {
+    let (addr, handle) = start(ServerConfig::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    (&stream)
+        .write_all(
+            br#"{"id":"a","op":"predict"}
+{"id":"b","op":"predict","config":{"distance_m":30.0}}"#,
+        )
+        .expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+
+    let lines = read_to_eof(&stream);
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(lines[0].contains("\"id\":\"a\""), "{lines:?}");
+    assert!(lines[1].contains("\"id\":\"b\""), "{lines:?}");
+    assert!(lines.iter().all(|l| l.contains("\"ok\":true")), "{lines:?}");
+
+    shutdown(addr, handle);
 }

@@ -80,15 +80,16 @@ pub use wsn_radio as radio;
 pub use wsn_serve as serve;
 pub use wsn_sim_engine as sim;
 
-/// The multi-link network API, promoted to a first-class surface: scenario
-/// description and building ([`Scenario`], [`LinkSpec`], [`Position`]),
-/// topology dynamics ([`ScenarioTimeline`], [`TopologyEvent`]), the
-/// shared-channel simulator ([`NetworkSimulation`]), its outcome types
-/// ([`NetworkOutcome`], [`LinkOutcome`], [`AirStats`], [`TopoStats`],
-/// [`EpochSnapshot`]), and the named scenario and timeline catalogs
-/// ([`all_scenarios`], [`build_scenario`], [`all_timelines`],
-/// [`build_timeline`]).
 pub mod net {
+    //! The multi-link network API, promoted to a first-class surface: scenario
+    //! description and building ([`Scenario`], [`LinkSpec`], [`Position`]),
+    //! topology dynamics ([`ScenarioTimeline`], [`TopologyEvent`]), the
+    //! shared-channel simulator ([`NetworkSimulation`]), its outcome types
+    //! ([`NetworkOutcome`], [`LinkOutcome`], [`AirStats`], [`TopoStats`],
+    //! [`EpochSnapshot`]), and the named scenario and timeline catalogs
+    //! ([`all_scenarios`], [`build_scenario`], [`all_timelines`],
+    //! [`build_timeline`]).
+
     pub use wsn_link_sim::catalog::{all_scenarios, all_timelines, build_scenario, build_timeline};
     pub use wsn_link_sim::network::{
         scenario_from_interference, AirStats, EpochLink, EpochSnapshot, LinkOutcome, NetOptions,
