@@ -68,10 +68,10 @@
 //!
 //! Every failure path funnels through one [`CliError`] enum, so the exit
 //! code mapping lives in exactly one place: `0` success, `1` generic
-//! failure (bad flags, failed verify claims, malformed timeline files),
-//! `2` unknown experiment, scenario, or timeline id, `3` I/O error
-//! (including an unreadable timeline file), `4` query-service failure
-//! (bind error or a fatal socket error in the accept loop).
+//! failure (bad or unknown flags, failed verify claims, malformed
+//! timeline files), `2` unknown experiment, scenario, or timeline id, `3`
+//! I/O error (including an unreadable timeline file), `4` query-service
+//! failure (bind error or a fatal socket error in the accept loop).
 
 use std::fmt;
 use std::io::Write;
@@ -577,6 +577,9 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
                 println!("{}", usage());
                 return Ok(());
             }
+            flag if flag.starts_with('-') => {
+                return Err(CliError::Usage(format!("unknown flag `{flag}`")))
+            }
             other => selections.push(other.to_string()),
         }
     }
@@ -731,5 +734,45 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             ExitCode::from(e.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run_args(args: &[&str]) -> Result<(), CliError> {
+        run(args.iter().map(|a| a.to_string()).collect())
+    }
+
+    /// Asserts that `args` is refused as a usage error naming `flag`.
+    fn assert_unknown_flag(args: &[&str], flag: &str) {
+        match run_args(args) {
+            Err(e @ CliError::Usage(_)) => {
+                assert_eq!(e.exit_code(), 1);
+                assert!(e.to_string().contains(&format!("`{flag}`")), "{e}");
+            }
+            other => panic!("{args:?} should be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_removed_io_model_flag_is_refused() {
+        assert_unknown_flag(&["list", "--io-model", "threads"], "--io-model");
+        // Refused while parsing, so no server is ever started.
+        assert_unknown_flag(&["serve", "--io-model", "threads"], "--io-model");
+    }
+
+    #[test]
+    fn a_misspelt_flag_is_refused() {
+        assert_unknown_flag(&["serve", "--thread", "2"], "--thread");
+        assert_unknown_flag(&["-x", "list"], "-x");
+    }
+
+    #[test]
+    fn help_still_succeeds() {
+        assert!(run_args(&["-h"]).is_ok());
+        assert!(run_args(&["--help"]).is_ok());
+        assert!(run_args(&["list", "--help"]).is_ok());
     }
 }

@@ -293,6 +293,9 @@ fn render(value: &impl Serialize) -> String {
     out
 }
 
+/// The `result` body of a `shutdown` request.
+pub(crate) const SHUTDOWN_BODY: &str = "{\"shutting_down\":true}";
+
 /// How a request was answered: the serialized `result` body, and whether
 /// it came from the cache.
 #[derive(Debug, Clone)]
@@ -332,9 +335,7 @@ struct AnalyticPredictResult {
 }
 
 /// The analytic pre-scan block of a `tune` result: winner metrics and
-/// diagnostics plus how many candidates the scan ranked. Only the
-/// analytic result shape carries it, so golden/fast tune bodies stay
-/// byte-identical to the pre-analytic format.
+/// diagnostics plus how many candidates the scan ranked.
 #[derive(Serialize)]
 struct AnalyticTuneDetail {
     candidates_ranked: u64,
@@ -356,28 +357,14 @@ struct TuneResult {
     engine: String,
     config: StackConfig,
     predicted: Predicted,
-    /// Fast-engine check of the predicted winner: present when the
-    /// request asked for `"engine":"fast"`, `null` on the (default)
-    /// predictor-only golden answer.
+    /// Fast-engine check of the winner (the only candidate that is
+    /// re-simulated): present under `"engine":"fast"` and `"analytic"`,
+    /// `null` on the (default) predictor-only golden answer.
     simulated: Option<LinkMetrics>,
-}
-
-/// The `tune` result under `"engine":"analytic"`: the [`TuneResult`]
-/// fields plus the pre-scan detail (the vendored serde_derive has no
-/// `skip_serializing_if`, so a distinct shape — rather than an optional
-/// field — is what keeps golden/fast bodies byte-identical).
-#[derive(Serialize)]
-struct AnalyticTuneResult {
-    objective: String,
-    constraints: Vec<ConstraintEcho>,
-    grid_configs: u64,
-    engine: String,
-    config: StackConfig,
-    predicted: Predicted,
-    /// The fast-engine cross-check of the pre-scan winner (the only
-    /// candidate that is re-simulated).
-    simulated: Option<LinkMetrics>,
-    analytic: AnalyticTuneDetail,
+    /// The analytic pre-scan block, written under `"engine":"analytic"`
+    /// only.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    analytic: Option<AnalyticTuneDetail>,
 }
 
 /// One non-dominated configuration of a `pareto` result. `values` line up
@@ -415,8 +402,9 @@ struct ExploreStrategy {
     local: u64,
 }
 
-/// The `explore` result under the golden predictor: the winner and its
-/// closed-form prediction.
+/// The `explore` result: the winner, scored by the backend that searched
+/// — a closed-form prediction under golden, the full metric set under
+/// analytic and fast. Exactly one of the two is written.
 #[derive(Serialize)]
 struct ExploreResult {
     objective: String,
@@ -430,26 +418,10 @@ struct ExploreResult {
     config: StackConfig,
     /// The winner's objective in display sense (goodput positive).
     objective_value: f64,
-    predicted: Predicted,
-}
-
-/// The `explore` result under the analytic/fast backends: the winner and
-/// the full metric set from the engine that scored it (a distinct shape —
-/// the vendored serde_derive has no `skip_serializing_if`).
-#[derive(Serialize)]
-struct ExploreSimResult {
-    objective: String,
-    constraints: Vec<ConstraintEcho>,
-    budget: u64,
-    evaluations: u64,
-    grid_configs: u64,
-    engine: String,
-    profile: String,
-    strategy: ExploreStrategy,
-    config: StackConfig,
-    /// The winner's objective in display sense (goodput positive).
-    objective_value: f64,
-    metrics: LinkMetrics,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    predicted: Option<Predicted>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    metrics: Option<LinkMetrics>,
 }
 
 #[derive(Serialize)]
@@ -466,26 +438,13 @@ struct ScenarioResult {
     description: String,
     packets: u64,
     seed: u64,
-    links: Vec<ScenarioLinkResult>,
-    air: AirStats,
-    plr_radio: f64,
-    goodput_bps: f64,
-}
-
-/// The `scenario` result when a `timeline` rode along: the
-/// [`ScenarioResult`] fields plus the timeline's canonical digest (the
-/// same value that partitions the cache key) and the replayed topology
-/// counters. A distinct shape — not optional fields — keeps static
-/// scenario bodies byte-identical to the pre-timeline format (the
-/// vendored serde_derive has no `skip_serializing_if`).
-#[derive(Serialize)]
-struct TimelineScenarioResult {
-    scenario: String,
-    description: String,
-    packets: u64,
-    seed: u64,
-    timeline_digest: String,
-    topo: TopoStats,
+    /// The timeline's canonical digest (the same value that partitions
+    /// the cache key) and the replayed topology counters, written only
+    /// when a `timeline` rode along.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    timeline_digest: Option<String>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    topo: Option<TopoStats>,
     links: Vec<ScenarioLinkResult>,
     air: AirStats,
     plr_radio: f64,
@@ -806,7 +765,7 @@ impl Engine {
             ))),
             // The server answers shutdown itself; reaching here means a
             // worker was handed one anyway — answer it honestly.
-            RequestBody::Shutdown => Ok("{\"shutting_down\":true}".to_string()),
+            RequestBody::Shutdown => Ok(SHUTDOWN_BODY.to_string()),
         }
     }
 
@@ -892,42 +851,27 @@ impl Engine {
             ExecError::bad_request("no feasible configuration on the grid".to_string())
         })?;
         let paper = self.paper();
-        let simulated = (engine != EngineMode::Golden)
-            .then(|| paper.fast(config, DEFAULT_PACKETS, DEFAULT_SEED));
-        let predicted = paper.optimizer.predictor.evaluate(&config);
-        let objective = metric_name(objective).to_string();
-        let constraints = constraint_echo(constraints);
         let grid_configs = grid.len() as u64;
-        let engine_name = engine.name().to_string();
-        Ok(match engine {
-            EngineMode::Analytic => {
-                // A memo hit: the scan already evaluated the winner.
-                let outcome = paper.analytic(config, DEFAULT_PACKETS);
-                render(&AnalyticTuneResult {
-                    objective,
-                    constraints,
-                    grid_configs,
-                    engine: engine_name,
-                    config,
-                    predicted,
-                    simulated,
-                    analytic: AnalyticTuneDetail {
-                        candidates_ranked: grid_configs,
-                        report: outcome.report,
-                        metrics: outcome.into_metrics(),
-                    },
-                })
+        // A memo hit: the scan already evaluated the winner.
+        let analytic = (engine == EngineMode::Analytic).then(|| {
+            let outcome = paper.analytic(config, DEFAULT_PACKETS);
+            AnalyticTuneDetail {
+                candidates_ranked: grid_configs,
+                report: outcome.report,
+                metrics: outcome.into_metrics(),
             }
-            _ => render(&TuneResult {
-                objective,
-                constraints,
-                grid_configs,
-                engine: engine_name,
-                config,
-                predicted,
-                simulated,
-            }),
-        })
+        });
+        Ok(render(&TuneResult {
+            objective: metric_name(objective).to_string(),
+            constraints: constraint_echo(constraints),
+            grid_configs,
+            engine: engine.name().to_string(),
+            config,
+            predicted: paper.optimizer.predictor.evaluate(&config),
+            simulated: (engine != EngineMode::Golden)
+                .then(|| paper.fast(config, DEFAULT_PACKETS, DEFAULT_SEED)),
+            analytic,
+        }))
     }
 
     /// The `pareto` op: the exact non-dominated set of every requested
@@ -1028,45 +972,28 @@ impl Engine {
             ExecError::bad_request("no feasible configuration found within the budget".to_string())
         })?;
         let config = grid.config_at(outcome.best_index);
-        let objective_value = display_value(objective, outcome.best_value);
-        let strategy = ExploreStrategy {
-            swept: outcome.swept,
-            refined: outcome.refined,
-            local: outcome.local,
+        let (predicted, metrics) = match eval.score(config) {
+            Score::Predicted(predicted) => (Some(predicted), None),
+            Score::Simulated(metrics) => (None, Some(metrics)),
         };
-        let objective = metric_name(objective).to_string();
-        let constraints = constraint_echo(constraints);
-        let grid_configs = grid.len() as u64;
-        let engine = engine.name().to_string();
-        let profile = profile.name().to_string();
-        Ok(match eval.score(config) {
-            Score::Predicted(predicted) => render(&ExploreResult {
-                objective,
-                constraints,
-                budget,
-                evaluations: outcome.evaluations,
-                grid_configs,
-                engine,
-                profile,
-                strategy,
-                config,
-                objective_value,
-                predicted,
-            }),
-            Score::Simulated(metrics) => render(&ExploreSimResult {
-                objective,
-                constraints,
-                budget,
-                evaluations: outcome.evaluations,
-                grid_configs,
-                engine,
-                profile,
-                strategy,
-                config,
-                objective_value,
-                metrics,
-            }),
-        })
+        Ok(render(&ExploreResult {
+            objective: metric_name(objective).to_string(),
+            constraints: constraint_echo(constraints),
+            budget,
+            evaluations: outcome.evaluations,
+            grid_configs: grid.len() as u64,
+            engine: engine.name().to_string(),
+            profile: profile.name().to_string(),
+            strategy: ExploreStrategy {
+                swept: outcome.swept,
+                refined: outcome.refined,
+                local: outcome.local,
+            },
+            config,
+            objective_value: display_value(objective, outcome.best_value),
+            predicted,
+            metrics,
+        }))
     }
 
     fn scenario(
@@ -1098,50 +1025,33 @@ impl Engine {
             None => None,
         };
         let mut sim = NetworkSimulation::new(scenario, options);
-        let digest = timeline.as_ref().map(|t| t.digest());
+        let timeline_digest = timeline.as_ref().map(|t| format!("{:016x}", t.digest()));
         if let Some(timeline) = timeline {
             sim = sim.with_timeline(timeline);
         }
         let outcome = sim.run();
         self.stats.observe_exec(&outcome.exec);
-        let plr_radio = outcome.plr_radio();
-        let goodput_bps = outcome.goodput_bps();
-        let links: Vec<ScenarioLinkResult> = outcome
-            .links
-            .into_iter()
-            .map(|link| ScenarioLinkResult {
-                config: link.config,
-                metrics: link.metrics,
-                frames_interfered: link.frames_interfered,
-                frames_capture_lost: link.frames_capture_lost,
-            })
-            .collect();
-        Ok(match digest {
-            // Static scenarios keep the historical result shape,
-            // byte-identical to the pre-timeline format.
-            None => render(&ScenarioResult {
-                scenario: id.to_string(),
-                description: description.to_string(),
-                packets,
-                seed,
-                plr_radio,
-                goodput_bps,
-                links,
-                air: outcome.air,
-            }),
-            Some(digest) => render(&TimelineScenarioResult {
-                scenario: id.to_string(),
-                description: description.to_string(),
-                packets,
-                seed,
-                timeline_digest: format!("{digest:016x}"),
-                topo: outcome.topo,
-                plr_radio,
-                goodput_bps,
-                links,
-                air: outcome.air,
-            }),
-        })
+        Ok(render(&ScenarioResult {
+            scenario: id.to_string(),
+            description: description.to_string(),
+            packets,
+            seed,
+            topo: timeline_digest.is_some().then_some(outcome.topo),
+            timeline_digest,
+            plr_radio: outcome.plr_radio(),
+            goodput_bps: outcome.goodput_bps(),
+            links: outcome
+                .links
+                .into_iter()
+                .map(|link| ScenarioLinkResult {
+                    config: link.config,
+                    metrics: link.metrics,
+                    frames_interfered: link.frames_interfered,
+                    frames_capture_lost: link.frames_capture_lost,
+                })
+                .collect(),
+            air: outcome.air,
+        }))
     }
 }
 

@@ -74,7 +74,7 @@ use wsn_obs::log::EventLog;
 use wsn_obs::trace::TraceIdGen;
 use wsn_sim_engine::mode::EngineMode;
 
-use crate::engine::{Answer, Engine, ExecError};
+use crate::engine::{Answer, Engine, ExecError, SHUTDOWN_BODY};
 use crate::protocol::{
     cache_key, envelope_err, envelope_ok, parse_request, ErrCode, Request, RequestBody,
 };
@@ -565,7 +565,7 @@ fn worker_loop(engine: &Engine, queue: &JobQueue<Job>, shutdown: &AtomicBool, ob
             shutdown.store(true, Ordering::SeqCst);
             queue.close();
             Ok(Answer {
-                body: Arc::new("{\"shutting_down\":true}".to_string()),
+                body: Arc::new(SHUTDOWN_BODY.to_string()),
                 cached: false,
             })
         } else {
