@@ -11,7 +11,7 @@
 use std::path::Path;
 
 use wsn_link_sim::catalog::{all_scenarios, all_timelines, build_scenario, build_timeline};
-use wsn_link_sim::network::{NetOptions, NetworkOutcome, NetworkSimulation};
+use wsn_link_sim::network::{NetOptions, NetworkSimulation};
 use wsn_obs::log::EventLog;
 use wsn_params::scenario::Scenario;
 use wsn_params::timeline::ScenarioTimeline;
@@ -213,22 +213,6 @@ pub fn run_timeline(
         ],
     );
     Ok(report)
-}
-
-/// Per-epoch aggregate delivered counts, exposed for the recovery-time
-/// analysis shared with ext13.
-pub fn delivered_per_epoch(outcome: &NetworkOutcome) -> Vec<u64> {
-    let mut prev = 0u64;
-    outcome
-        .epochs
-        .iter()
-        .map(|snap| {
-            let now: u64 = snap.links.iter().map(|l| l.delivered).sum();
-            let delta = now - prev;
-            prev = now;
-            delta
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -1,10 +1,12 @@
 //! Campaign throughput measurement (`repro bench`).
 //!
-//! Times [`Campaign::run_streamed`] over the same 32-configuration
-//! `Scale::Bench` grid the `campaign_throughput` criterion bench uses, at
-//! several worker-thread counts, and reports configurations per second.
-//! The JSON form of [`BenchReport`] is the repository's machine-readable
-//! perf trajectory (`BENCH_campaign.json`).
+//! Times [`Campaign::run_streamed`] over the 32-configuration
+//! `Scale::Bench` grid of [`bench_grid`] at several worker-thread counts
+//! and under every engine, plus the warm analytic prediction, multi-link
+//! scenarios and the sparse-medium density ladder. Every row goes through
+//! one timing loop: warm up, size a batch from one calibration call, keep
+//! the fastest of `reps` batches. The JSON form of [`BenchReport`] is the
+//! repository's machine-readable perf trajectory (`BENCH_campaign.json`).
 
 use std::time::Instant;
 
@@ -20,9 +22,8 @@ use wsn_sim_engine::mode::EngineMode;
 use crate::campaign::{Campaign, ConfigResult, Scale};
 use crate::stream::SinkFn;
 
-/// The benchmark grid: 4 distances × 4 powers × 2 retry budgets, matching
-/// `benches/campaign.rs` so `repro bench` and criterion measure the same
-/// workload.
+/// The benchmark grid: 4 distances × 4 powers × 2 retry budgets, 32
+/// configurations; each `results` row of [`campaign_throughput`] runs it.
 pub fn bench_grid() -> ParamGrid {
     ParamGrid {
         distances_m: vec![10.0, 20.0, 30.0, 35.0],
@@ -165,30 +166,14 @@ pub fn scenario_throughput(
     let mut out = Vec::with_capacity(link_counts.len());
     for &links in link_counts {
         let scenario = Scenario::parallel(&vec![config; links], 2.0);
-        let run_once = || {
+        let (iters, best) = best_batch(reps, min_batch_s, 1, || {
             let options = NetOptions {
                 seed: 0x5EED,
                 ..NetOptions::quick(Scale::Bench.packets())
             };
             let outcome = NetworkSimulation::new(scenario.clone(), options).run();
             std::hint::black_box(outcome.goodput_bps());
-        };
-
-        // Warmup, doubling as the batch-size calibration.
-        run_once();
-        let t0 = Instant::now();
-        run_once();
-        let per_run = t0.elapsed().as_secs_f64().max(1e-6);
-        let iters = (min_batch_s / per_run).ceil().max(1.0) as usize;
-
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                run_once();
-            }
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
+        });
         out.push(ScenarioThroughput {
             links,
             runs_per_sec: iters as f64 / best,
@@ -231,7 +216,7 @@ pub fn density_throughput(
     for engine in [EngineMode::Golden, EngineMode::Fast] {
         for &links in link_counts {
             let scenario = Scenario::grid(config, links, 25.0);
-            let run_once = || {
+            let (iters, best) = best_batch(reps, min_batch_s, 1, || {
                 let options = NetOptions {
                     seed: 0x5EED,
                     engine,
@@ -240,23 +225,7 @@ pub fn density_throughput(
                 .with_prune_floor_dbm(-85.0);
                 let outcome = NetworkSimulation::new(scenario.clone(), options).run();
                 std::hint::black_box(outcome.goodput_bps());
-            };
-
-            // Warmup, doubling as the batch-size calibration.
-            run_once();
-            let t0 = Instant::now();
-            run_once();
-            let per_run = t0.elapsed().as_secs_f64().max(1e-6);
-            let iters = (min_batch_s / per_run).ceil().max(1.0) as usize;
-
-            let mut best = f64::INFINITY;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    run_once();
-                }
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
+            });
             out.push(DensityThroughput {
                 mode: engine.name().to_string(),
                 placement: "grid-25m".to_string(),
@@ -270,11 +239,9 @@ pub fn density_throughput(
     out
 }
 
-/// Measures campaign throughput at each of `thread_counts`.
-///
-/// Per thread count: a warmup pass, then `reps` timed batches, each sized
-/// so one batch runs ≥ `min_batch_s`; the fastest batch is reported (the
-/// standard minimum-of-k estimator for the noise-free cost).
+/// Measures campaign throughput at each of `thread_counts` under every
+/// engine, then the analytic, scenario and density rows: every row keeps
+/// the fastest of `reps` batches, each sized to run ≥ `min_batch_s`.
 pub fn campaign_throughput(thread_counts: &[usize], reps: usize, min_batch_s: f64) -> BenchReport {
     let configs: Vec<StackConfig> = bench_grid().iter().collect();
     let mut results = Vec::with_capacity(EngineMode::ALL.len() * thread_counts.len());
@@ -285,28 +252,12 @@ pub fn campaign_throughput(thread_counts: &[usize], reps: usize, min_batch_s: f6
                 ..Campaign::new(Scale::Bench)
             }
             .with_engine(engine);
-            let run_grid = || {
+            let (iters, best) = best_batch(reps, min_batch_s, 1, || {
                 let mut sink = SinkFn::new(|_i: usize, r: &ConfigResult| {
                     std::hint::black_box(r.metrics.goodput_bps);
                 });
                 campaign.run_streamed(&configs, &mut sink);
-            };
-
-            // Warmup, doubling as the batch-size calibration.
-            run_grid();
-            let t0 = Instant::now();
-            run_grid();
-            let per_grid = t0.elapsed().as_secs_f64().max(1e-6);
-            let iters = (min_batch_s / per_grid).ceil().max(1.0) as usize;
-
-            let mut best = f64::INFINITY;
-            for _ in 0..reps.max(1) {
-                let t0 = Instant::now();
-                for _ in 0..iters {
-                    run_grid();
-                }
-                best = best.min(t0.elapsed().as_secs_f64());
-            }
+            });
             results.push(ThreadThroughput {
                 mode: engine.name().to_string(),
                 threads,
@@ -335,27 +286,40 @@ pub fn campaign_throughput(thread_counts: &[usize], reps: usize, min_batch_s: f6
 pub fn analytic_predict_latency_ns(reps: usize, min_batch_s: f64) -> f64 {
     let campaign = Campaign::new(Scale::Bench).with_engine(EngineMode::Analytic);
     let config = bench_grid().iter().next().expect("non-empty grid");
-    let run_once = || {
+    // The warm-up call populates the memo, so every timed call is a hit.
+    let (iters, best) = best_batch(reps, min_batch_s, 1000, || {
         let result = campaign.run_one(config, 0);
         std::hint::black_box(result.metrics.goodput_bps);
-    };
+    });
+    best * 1e9 / iters as f64
+}
 
-    // Warmup populates the memo; calibration sizes the batch.
-    run_once();
+/// The one timing loop behind every `repro bench` row: one warm-up call,
+/// one calibration call that sizes the batch to ≥ `min_batch_s` and ≥
+/// `min_iters` calls, then `reps` (at least one) timed batches. Returns the
+/// batch size and the fastest batch's seconds, the standard minimum-of-k
+/// estimator for the noise-free cost.
+fn best_batch(
+    reps: usize,
+    min_batch_s: f64,
+    min_iters: usize,
+    mut run: impl FnMut(),
+) -> (usize, f64) {
+    run();
     let t0 = Instant::now();
-    run_once();
+    run();
     let per_run = t0.elapsed().as_secs_f64().max(1e-9);
-    let iters = (min_batch_s / per_run).ceil().max(1000.0) as usize;
+    let iters = (min_batch_s / per_run).ceil().max(min_iters as f64) as usize;
 
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         for _ in 0..iters {
-            run_once();
+            run();
         }
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    best * 1e9 / iters as f64
+    (iters, best)
 }
 
 #[cfg(test)]
@@ -363,14 +327,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bench_grid_matches_criterion_workload() {
-        assert_eq!(bench_grid().len(), 32);
-    }
-
-    #[test]
     fn report_measures_and_renders() {
         // Tiny batches: correctness of the plumbing, not the numbers.
         let report = campaign_throughput(&[1, 2], 1, 0.0);
+        assert_eq!(report.grid_configs, 32);
         // One row per (mode, thread count): golden rows first, then fast,
         // then analytic.
         assert_eq!(report.results.len(), 6);

@@ -158,12 +158,6 @@ impl NetOptions {
         self.prune_floor_dbm = dbm;
         self
     }
-
-    /// Returns the options with per-epoch progress snapshots.
-    pub fn with_epoch(mut self, epoch: SimDuration) -> Self {
-        self.epoch = Some(epoch);
-        self
-    }
 }
 
 /// Aggregate shared-air counters for one run.

@@ -95,11 +95,6 @@ impl EnergyMeter {
     pub fn tx_time(&self) -> SimDuration {
         SimDuration::from_micros(self.tx_time_us)
     }
-
-    /// Time spent listening.
-    pub fn rx_time(&self) -> SimDuration {
-        SimDuration::from_micros(self.rx_time_us)
-    }
 }
 
 #[cfg(test)]

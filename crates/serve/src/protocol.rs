@@ -368,9 +368,13 @@ fn require_u64(value: &Value, what: &str) -> Result<u64, String> {
 }
 
 fn require_f64(value: &Value, what: &str) -> Result<f64, String> {
-    value
-        .as_f64()
-        .ok_or_else(|| format!("{what} must be a number, got {}", value.kind()))
+    // `Value::as_f64` reads `null` as NaN (the store round-trips NaN
+    // metrics that way); a request number must be written out.
+    match value {
+        Value::Null => None,
+        v => v.as_f64(),
+    }
+    .ok_or_else(|| format!("{what} must be a number, got {}", value.kind()))
 }
 
 /// Builds a [`StackConfig`] from a request's `"config"` object. Missing

@@ -9,7 +9,11 @@
 //! batches are drawn from the response corpus: `predict` lines, `simulate`
 //! lines short enough to run on the front end, and lines the parser
 //! rejects, so every answer is produced inline and in arrival order. Some
-//! lines have their id swapped for one of multibyte characters.
+//! lines have their id swapped for one of multibyte characters, and the
+//! pool adds lines that are not UTF-8: a lone `0xFF`, a truncated
+//! `0xE2 0x82` and an overlong `0xC0 0xAF`, each inside the id string and
+//! outside any string. Every line, valid or not, gets exactly one
+//! envelope, and the server never panics.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -31,17 +35,23 @@ const WIDE_IDS: [&str; 4] = [
     "\u{1d11e}\u{df}",
 ];
 
-/// A corpus line, and whether its id is a plain number that can be swapped.
+/// Byte sequences that are not UTF-8: a lone `0xFF`, a three-byte
+/// sequence cut after two bytes, and an overlong two-byte `/`.
+const INVALID_UTF8: [&[u8]; 3] = [b"\xFF", b"\xE2\x82", b"\xC0\xAF"];
+
+/// A request line, and whether its id is a plain number that can be swapped.
 struct PoolLine {
-    line: String,
+    line: Vec<u8>,
     renamable: bool,
 }
 
-/// The corpus lines every one of which is answered on the front end.
+/// The corpus lines every one of which is answered on the front end, plus
+/// one renamable line with each [`INVALID_UTF8`] sequence put inside its
+/// id string and, separately, outside any string.
 fn pool() -> Vec<PoolLine> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/requests.jsonl");
     let corpus = std::fs::read_to_string(path).expect("corpus");
-    corpus
+    let mut pool: Vec<PoolLine> = corpus
         .lines()
         .filter_map(|line| {
             let inline = match parse_request(line) {
@@ -57,18 +67,47 @@ fn pool() -> Vec<PoolLine> {
                 .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()))
                 && parse_request(line).is_ok();
             inline.then(|| PoolLine {
-                line: line.to_string(),
+                line: line.as_bytes().to_vec(),
                 renamable,
             })
         })
-        .collect()
+        .collect();
+    let base = pool
+        .iter()
+        .find(|p| p.renamable)
+        .expect("a renamable line")
+        .line
+        .clone();
+    for bad in INVALID_UTF8 {
+        let id = [b"a", bad, b"b"].concat();
+        let outside = [b"{", bad, &base[1..]].concat();
+        for line in [with_id(&base, &id), outside] {
+            pool.push(PoolLine {
+                line,
+                renamable: false,
+            });
+        }
+    }
+    pool
 }
 
-/// `line` with its numeric id replaced by the string `id`.
-fn with_id(line: &str, id: &str) -> String {
-    let rest = &line["{\"id\":".len()..];
-    let end = rest.find(',').expect("more fields follow the id");
-    format!("{{\"id\":\"{id}\"{}", &rest[end..])
+/// `line` with its numeric id replaced by the string of bytes `id`.
+fn with_id(line: &[u8], id: &[u8]) -> Vec<u8> {
+    let rest = &line[b"{\"id\":".len()..];
+    let end = rest
+        .iter()
+        .position(|&b| b == b',')
+        .expect("more fields follow the id");
+    [b"{\"id\":\"", id, b"\"", &rest[end..]].concat()
+}
+
+/// `lines`, each ended by a newline, as one buffer.
+fn batch_of<'a>(lines: impl IntoIterator<Item = &'a Vec<u8>>) -> Vec<u8> {
+    lines
+        .into_iter()
+        .flat_map(|l| l.iter().chain(b"\n"))
+        .copied()
+        .collect()
 }
 
 /// An envelope without its timing-dependent fields.
@@ -104,10 +143,16 @@ fn read_answers(stream: &TcpStream, n: Option<usize>) -> Vec<String> {
 }
 
 /// The answers to `batch` sent in one write.
-fn one_write(addr: SocketAddr, batch: &str, n: usize) -> Vec<String> {
+fn one_write(addr: SocketAddr, batch: &[u8], n: usize) -> Vec<String> {
     let mut stream = connect(addr);
-    stream.write_all(batch.as_bytes()).expect("send batch");
+    stream.write_all(batch).expect("send batch");
     read_answers(&stream, Some(n))
+}
+
+/// True when `answer` is one protocol envelope.
+fn is_envelope(answer: &str) -> bool {
+    answer.starts_with("{\"proto\":1,")
+        && serde_json::parse(answer).is_ok_and(|v| v.field("ok").as_bool().is_some())
 }
 
 #[test]
@@ -123,8 +168,10 @@ fn split_writes_are_framed_like_one_write() {
     let pool = pool();
     assert!(pool.len() > 50, "pool of {} lines", pool.len());
     // Warm the memory tier, so every answer below is a hit on both sides.
-    let all: String = pool.iter().map(|p| format!("{}\n", p.line)).collect();
-    assert_eq!(one_write(addr, &all, pool.len()).len(), pool.len());
+    let all = batch_of(pool.iter().map(|p| &p.line));
+    let answers = one_write(addr, &all, pool.len());
+    assert_eq!(answers.len(), pool.len());
+    assert!(answers.iter().all(|a| is_envelope(a)), "{answers:#?}");
 
     let cases = (
         prop::collection::vec((0..pool.len(), prop::option::of(0..WIDE_IDS.len())), 2..=12),
@@ -133,21 +180,26 @@ fn split_writes_are_framed_like_one_write() {
     );
     let mut rng = TestRng::deterministic("framing::split_writes_are_framed_like_one_write");
     for case in 0..CASES {
-        let (picks, cuts, half_close) = cases.generate(&mut rng);
-        let lines: Vec<String> = picks
+        let (mut picks, cuts, half_close) = cases.generate(&mut rng);
+        // Every case carries one of the lines that are not UTF-8, in turn,
+        // at a position that moves from case to case, so it is sometimes
+        // the unterminated last line of a half-closed batch.
+        let invalid = pool.len() - 2 * INVALID_UTF8.len() + case % (2 * INVALID_UTF8.len());
+        picks.insert(case % (picks.len() + 1), (invalid, None));
+        let lines: Vec<Vec<u8>> = picks
             .iter()
             .map(|&(i, wide)| match wide {
-                Some(w) if pool[i].renamable => with_id(&pool[i].line, WIDE_IDS[w]),
+                Some(w) if pool[i].renamable => with_id(&pool[i].line, WIDE_IDS[w].as_bytes()),
                 _ => pool[i].line.clone(),
             })
             .collect();
-        let batch: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        let batch = batch_of(&lines);
         let want = one_write(addr, &batch, lines.len());
 
         let bytes = if half_close {
-            &batch.as_bytes()[..batch.len() - 1]
+            &batch[..batch.len() - 1]
         } else {
-            batch.as_bytes()
+            &batch[..]
         };
         let mut offsets: Vec<usize> = cuts
             .iter()
@@ -176,13 +228,16 @@ fn split_writes_are_framed_like_one_write() {
             read_answers(&stream, Some(lines.len()))
         };
 
-        let context = format!("case {case}: cuts {offsets:?}, half-close {half_close}\n{batch}");
-        assert_eq!(got.len(), want.len(), "{context}");
+        let context = format!(
+            "case {case}: cuts {offsets:?}, half-close {half_close}\n{}",
+            String::from_utf8_lossy(&batch)
+        );
+        assert_eq!(got.len(), lines.len(), "{context}");
+        assert!(got.iter().all(|a| is_envelope(a)), "{context}");
         for (got, want) in got.iter().zip(&want) {
             assert_eq!(untimed(got), untimed(want), "{context}");
         }
     }
-
     let mut stream = connect(addr);
     writeln!(stream, r#"{{"op":"shutdown"}}"#).expect("send shutdown");
     assert!(read_answers(&stream, Some(1))[0].contains("shutting_down"));

@@ -8,14 +8,16 @@
 //! * the first key of the top-level object duplicated.
 //!
 //! Invariants, on every mutant: `parse_request` never panics and gives an
-//! equal `Result` (field for field, NaN included) on a second call; `cache_key` never panics on an `Ok`;
-//! and every `Rejection` renders through `envelope_err` to one line that
+//! equal `Result` (field for field, NaN included) on a second call; an
+//! `Ok` carries no NaN in a config distance or a scan's distance or
+//! constraint bound, and `cache_key` never panics on it; and every
+//! `Rejection` renders through `envelope_err` to one line that
 //! `serde_json::parse` accepts, with `"ok":false` and the rejection's
 //! wire code.
 
 use std::panic::catch_unwind;
 
-use wsn_serve::protocol::{cache_key, envelope_err, parse_request, Rejection};
+use wsn_serve::protocol::{cache_key, envelope_err, parse_request, Rejection, RequestBody};
 
 /// What each scalar value is replaced with: wrong types, out-of-range and
 /// overflowing numbers, and empty containers.
@@ -131,16 +133,40 @@ fn check_rejection(rejection: &Rejection) -> Result<(), String> {
     Ok(())
 }
 
+/// True when a parsed body carries a NaN where a request number belongs:
+/// a `null` there must be refused, not read as NaN.
+fn carries_nan(body: &RequestBody) -> bool {
+    match body {
+        RequestBody::Simulate { config, .. } | RequestBody::Predict { config, .. } => {
+            config.distance.meters().is_nan()
+        }
+        RequestBody::Tune {
+            constraints,
+            distance_m,
+            ..
+        }
+        | RequestBody::Explore {
+            constraints,
+            distance_m,
+            ..
+        } => distance_m.is_some_and(f64::is_nan) || constraints.iter().any(|(_, max)| max.is_nan()),
+        RequestBody::Pareto { distance_m, .. } => distance_m.is_some_and(f64::is_nan),
+        _ => false,
+    }
+}
+
 /// Runs every invariant on one input; returns what is wrong, if anything.
 fn check(input: &str) -> Result<(), String> {
     let first = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
     let second = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
-    // Compared through `Debug`: a `null` number reads as NaN (the vendored
-    // `Value::as_f64`), and NaN-bearing results are never `==`.
+    // Compared through `Debug`: an inline timeline's `"t_s":null` still
+    // parses to NaN (a worker refuses it later), and NaN-bearing results
+    // are never `==`.
     if format!("{first:?}") != format!("{second:?}") {
         return Err(format!("nondeterministic: {first:?} vs {second:?}"));
     }
     match first {
+        Ok(request) if carries_nan(&request.body) => Err(format!("NaN parsed: {request:?}")),
         Ok(request) => catch_unwind(|| cache_key(&request.body))
             .map(drop)
             .map_err(|_| "cache_key panicked".to_string()),

@@ -200,11 +200,6 @@ impl<M: Model> Executor<M> {
         &self.model
     }
 
-    /// Mutable access to the model (e.g. to extract results after a run).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     /// Consumes the executor and returns the model.
     pub fn into_model(self) -> M {
         self.model

@@ -9,7 +9,6 @@
 //! an operator wants from a server that executes many simulations.
 
 use wsn_obs::metrics::{Counter, Gauge, Registry};
-use wsn_obs::span::Span;
 
 use crate::executor::{ExecStats, ExecutorObserver};
 use crate::time::SimTime;
@@ -77,15 +76,6 @@ impl ExecutorObserver for ExecGauges {
     fn on_run_end(&mut self, stats: &ExecStats) {
         self.observe(stats);
     }
-}
-
-/// Times a whole executor run into an obs histogram: the wall-clock of
-/// each run lands in `hist` (microseconds), complementing the
-/// sim-time/wall-time ratio already in [`ExecStats`]. Kept as a free
-/// function so callers without an executor (e.g. shard runners timing
-/// arbitrary work) can reuse the same span type.
-pub fn timed_span(hist: &wsn_obs::hist::LogLinearHistogram) -> Span<'_> {
-    Span::start(hist)
 }
 
 /// A tiny convenience for models that want progress heartbeats in an
