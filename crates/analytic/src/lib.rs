@@ -55,6 +55,7 @@
 #![warn(missing_docs)]
 
 pub mod math;
+pub mod runner;
 pub mod table;
 
 use std::sync::{Arc, OnceLock};
@@ -78,6 +79,7 @@ use crate::table::AnalyticTable;
 
 /// Convenient glob-import of the analytic engine.
 pub mod prelude {
+    pub use crate::runner::{EngineRunner, RunOutcome};
     pub use crate::table::AnalyticTable;
     pub use crate::{evaluate, AnalyticLinkSimulation, AnalyticOutcome, AnalyticReport};
 }

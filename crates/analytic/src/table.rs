@@ -11,7 +11,9 @@
 //! Like [`LinkBudgetTable`](wsn_radio::budget::LinkBudgetTable), the table
 //! is pinned to one [`ChannelConfig`]; callers must check
 //! [`AnalyticTable::config`] before trusting a lookup for their channel
-//! (the engine seams in `wsn-analytic` and `wsn-experiments` do).
+//! ([`AnalyticLinkSimulation::run`](crate::AnalyticLinkSimulation::run),
+//! which every [`EngineRunner`](crate::runner::EngineRunner) goes through,
+//! does).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

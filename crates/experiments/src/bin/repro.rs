@@ -32,7 +32,7 @@
 //!                                    event per snapshot)
 //! repro serve [--addr HOST:PORT] [--threads N] [--access-log PATH] [--slow-ms N]
 //!             [--store DIR]
-//!             [--warm-from-campaign DIR [--warm-engine E] [--warm-packets N]]
+//!             [--warm-from-campaign DIR]
 //!                                    start the JSON-lines query service
 //!                                    (docs/SERVE.md; port 0 picks a free port;
 //!                                    --access-log appends one JSONL record per
@@ -40,7 +40,9 @@
 //!                                    warning threshold, 0 disables it; --store
 //!                                    persists the result cache across restarts;
 //!                                    --warm-from-campaign seeds the cache from
-//!                                    a sharded campaign checkpoint directory)
+//!                                    a campaign checkpoint directory, on the
+//!                                    engine, packets and seed its
+//!                                    campaign.json records)
 //! repro loadgen [--duration SECS] [--connections N] [--senders N] [--rate RPS]
 //!               [--arrivals poisson|fixed] [--addr HOST:PORT] [--json PATH]
 //!               [--label STR]
@@ -62,9 +64,11 @@
 //! paper's protocol (4500 packets/config). `--out DIR` additionally writes
 //! `<id>.txt`, `<id>.csv` and `<id>.json` into DIR.
 //!
-//! A sharded campaign (`--out DIR --shards N`) writes `shard-NNNN.jsonl`
-//! files; re-running with `--resume` skips already-completed shards, so a
-//! killed multi-hour grid loses at most one shard of work.
+//! A sharded campaign (`--out DIR --shards N`) writes its run identity to
+//! `campaign.json` and its results to `shard-NNNN.jsonl` files; re-running
+//! with `--resume` skips already-completed shards, so a killed multi-hour
+//! grid loses at most one shard of work. A resume whose engine, scale,
+//! seed or shard count differs from `campaign.json` is refused.
 //!
 //! Every failure path funnels through one [`CliError`] enum, so the exit
 //! code mapping lives in exactly one place: `0` success, `1` generic
@@ -83,7 +87,7 @@ use wsn_experiments::campaign::{Campaign, ConfigResult, Scale};
 use wsn_experiments::dynamics::TimelineError;
 use wsn_experiments::loadgen::{Arrivals, LoadgenOptions};
 use wsn_experiments::report::Report;
-use wsn_experiments::shards::{read_shard_dir, run_sharded_logged};
+use wsn_experiments::shards::{read_shard_dir, run_sharded_logged, ShardError, MANIFEST_FILE};
 use wsn_experiments::stream::{EventLogSink, ProgressSink, SinkFn};
 use wsn_experiments::{all_experiments, run_experiment};
 use wsn_obs::log::EventLog;
@@ -153,7 +157,7 @@ fn usage() -> String {
          [--full] [--engine golden|fast|analytic] [--out DIR] [--resume] [--shards N] \
          [--log PATH] [--json PATH] [--quick-bench] [--addr HOST:PORT] [--threads N] \
          [--access-log PATH] [--slow-ms N] [--store DIR] \
-         [--warm-from-campaign DIR] [--warm-engine golden|fast|analytic] [--warm-packets N] \
+         [--warm-from-campaign DIR] \
          [--duration SECS] [--connections N] [--senders N] [--rate RPS] \
          [--arrivals poisson|fixed] [--label STR]\n  \
          ids: {}\n  scenario ids: {}\n  timeline ids: {} (or a ScenarioTimeline JSON file)\n  \
@@ -231,17 +235,22 @@ fn run_campaign(
     if let Some(dir) = out {
         if !resume {
             // A fresh run must not silently absorb stale checkpoints.
-            if dir.exists() && dir.join("shard-0000.jsonl").exists() {
+            if dir.join(MANIFEST_FILE).exists() {
                 return Err(CliError::Failure(format!(
-                    "{} already holds shard files; pass --resume to continue that run \
-                     or choose a fresh directory",
+                    "{} already holds a campaign checkpoint; pass --resume to continue \
+                     that run or choose a fresh directory",
                     dir.display()
                 )));
             }
         }
         let configs: Vec<StackConfig> = grid.iter().collect();
-        let report = run_sharded_logged(&campaign, &configs, dir, shards, log)
-            .map_err(|e| CliError::Io(format!("sharded campaign failed: {e}")))?;
+        let report =
+            run_sharded_logged(&campaign, &configs, dir, shards, log).map_err(|e| match e {
+                ShardError::Io(..) | ShardError::Serde(..) => {
+                    CliError::Io(format!("sharded campaign failed: {e}"))
+                }
+                _ => CliError::Failure(e.to_string()),
+            })?;
         eprintln!(
             "shards: {} total, {} resumed from checkpoint, {} configs simulated",
             report.shards_total, report.shards_skipped, report.configs_simulated
@@ -367,7 +376,6 @@ fn run_timeline(
 /// `repro serve`: binds the query service and runs it until a client sends
 /// `shutdown`. Prints the resolved address first so callers that bound
 /// port 0 can discover the real port.
-#[allow(clippy::too_many_arguments)]
 fn run_serve(
     addr: String,
     threads: usize,
@@ -375,8 +383,6 @@ fn run_serve(
     slow_request_ms: u64,
     store: Option<PathBuf>,
     warm_from: Option<PathBuf>,
-    warm_engine: EngineMode,
-    warm_packets: u64,
 ) -> Result<(), CliError> {
     let server = Server::bind(ServerConfig {
         addr,
@@ -387,15 +393,16 @@ fn run_serve(
         ..ServerConfig::default()
     })?;
     if let Some(dir) = &warm_from {
-        let entries = wsn_experiments::shards::serve_warm_entries(dir, warm_engine, warm_packets)
-            .map_err(CliError::Failure)?;
+        let (manifest, entries) =
+            wsn_experiments::shards::serve_warm_entries(dir).map_err(CliError::Failure)?;
         let installed = server
             .warm(entries)
             .map_err(|e| CliError::Io(format!("cache warm-up failed: {e}")))?;
         eprintln!(
-            "warmed {installed} cached results from {} ({} engine, {warm_packets} packets)",
+            "warmed {installed} cached results from {} ({} engine, {} packets)",
             dir.display(),
-            warm_engine.name()
+            manifest.engine.name(),
+            manifest.packets
         );
     }
     println!("listening on {}", server.local_addr());
@@ -446,8 +453,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     let mut slow_request_ms = 1_000u64;
     let mut store: Option<PathBuf> = None;
     let mut warm_from: Option<PathBuf> = None;
-    let mut warm_engine = EngineMode::Golden;
-    let mut warm_packets = 400u64;
     let mut duration_s = 10.0f64;
     let mut connections = 500usize;
     let mut senders = 8usize;
@@ -521,22 +526,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
                     ))
                 }
             },
-            "--warm-engine" => match iter.next().and_then(|m| EngineMode::from_name(m)) {
-                Some(mode) => warm_engine = mode,
-                None => {
-                    return Err(CliError::Usage(
-                        "--warm-engine needs `golden`, `fast`, or `analytic`".into(),
-                    ))
-                }
-            },
-            "--warm-packets" => match iter.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => warm_packets = n,
-                _ => {
-                    return Err(CliError::Usage(
-                        "--warm-packets needs a positive integer".into(),
-                    ))
-                }
-            },
             "--duration" => match iter
                 .next()
                 .map(|s| s.trim_end_matches('s'))
@@ -603,16 +592,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 
     if selections.iter().any(|s| s == "serve") {
-        return run_serve(
-            addr,
-            threads,
-            access_log,
-            slow_request_ms,
-            store,
-            warm_from,
-            warm_engine,
-            warm_packets,
-        );
+        return run_serve(addr, threads, access_log, slow_request_ms, store, warm_from);
     }
 
     if selections.iter().any(|s| s == "loadgen") {
@@ -761,6 +741,14 @@ mod tests {
         assert_unknown_flag(&["list", "--io-model", "threads"], "--io-model");
         // Refused while parsing, so no server is ever started.
         assert_unknown_flag(&["serve", "--io-model", "threads"], "--io-model");
+    }
+
+    #[test]
+    fn the_removed_warm_flags_are_refused() {
+        // Warm-up reads engine and packets from the checkpoint's
+        // campaign.json instead.
+        assert_unknown_flag(&["serve", "--warm-engine", "fast"], "--warm-engine");
+        assert_unknown_flag(&["serve", "--warm-packets", "4500"], "--warm-packets");
     }
 
     #[test]

@@ -15,15 +15,12 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use serde::{Deserialize, Serialize};
 
+use wsn_analytic::runner::EngineRunner;
 use wsn_analytic::table::AnalyticTable;
-use wsn_analytic::AnalyticLinkSimulation;
-use wsn_link_sim::fast::FastLinkSimulation;
 use wsn_link_sim::metrics::LinkMetrics;
-use wsn_link_sim::simulation::{LinkSimulation, SimOptions};
 use wsn_link_sim::traffic::TrafficModel;
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
-use wsn_radio::budget::LinkBudgetTable;
 use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::batch::BatchExecutor;
 use wsn_sim_engine::mode::EngineMode;
@@ -144,117 +141,44 @@ impl Campaign {
         self
     }
 
-    /// State shared by every configuration of one campaign run, computed
-    /// once instead of per configuration: the base RNG factory (seed
-    /// derivation starts from it) and the memoized link-budget table.
-    fn shared(&self) -> SharedRun {
-        SharedRun {
-            base: RngFactory::new(self.seed),
-            budgets: Arc::new(LinkBudgetTable::new(self.channel)),
-        }
+    /// The runner of one campaign run: a fresh link-budget memo on the
+    /// campaign channel and the campaign's shared analytic memo.
+    fn runner(&self) -> EngineRunner {
+        EngineRunner::with_analytic(self.channel, self.traffic, Arc::clone(&self.analytic))
     }
 
-    /// Simulation options for the configuration at `index`, deriving its
-    /// seed from the run's `base` factory (hoisted out of the
-    /// per-configuration path — see [`Campaign::shared`]).
-    fn options_with(&self, base: RngFactory, index: u64) -> SimOptions {
-        SimOptions {
-            packets: self.packets,
-            seed: base.derive(index).seed(),
-            channel: self.channel,
-            traffic: self.traffic,
-            record_packets: false,
-            horizon: None,
-            trajectory: wsn_params::motion::Trajectory::Stationary,
+    /// The seed the configuration at grid position `index` runs with: the
+    /// golden engine derives one per index from the campaign seed, the
+    /// fast engine takes the campaign seed verbatim (its streams derive
+    /// from `(config, seed)` inside the engine, see
+    /// [`wsn_link_sim::fast::fast_seed`]), and the analytic engine ignores
+    /// it. Every consumer of campaign results that needs the seed — shard
+    /// warm-up of a serve cache included — asks here.
+    pub fn seed_for(&self, index: u64) -> u64 {
+        match self.engine {
+            EngineMode::Golden => RngFactory::new(self.seed).derive(index).seed(),
+            EngineMode::Fast | EngineMode::Analytic => self.seed,
         }
     }
 
     /// Simulates one configuration (with the seed it would get inside a
     /// grid run at `index`).
-    ///
-    /// Fast-engine runs ignore `index`: their streams derive from
-    /// `(config, seed)` alone (see [`wsn_link_sim::fast::fast_seed`]), so a
-    /// configuration's fast result is the same at any grid position.
     pub fn run_one(&self, config: StackConfig, index: u64) -> ConfigResult {
-        self.run_one_shared(config, index, &self.shared())
+        self.run_one_shared(config, index, &self.runner())
     }
 
-    /// The worker body: one configuration, using the run-shared state.
-    fn run_one_shared(&self, config: StackConfig, index: u64, shared: &SharedRun) -> ConfigResult {
-        match self.engine {
-            EngineMode::Golden => {
-                let outcome = LinkSimulation::new(config, self.options_with(shared.base, index))
-                    .with_budget_table(Arc::clone(&shared.budgets))
-                    .run();
-                ConfigResult {
-                    config,
-                    metrics: outcome.metrics().clone(),
-                }
-            }
-            EngineMode::Fast => self.run_one_fast(config, &shared.budgets),
-            EngineMode::Analytic => self.run_one_analytic(config, &shared.budgets),
-        }
-    }
-
-    /// One configuration on the fast engine. The options carry the
-    /// campaign seed verbatim; per-configuration stream derivation happens
-    /// inside the fast engine via `fast_seed(config, seed)`.
-    fn run_one_fast(&self, config: StackConfig, budgets: &Arc<LinkBudgetTable>) -> ConfigResult {
-        let options = SimOptions {
-            packets: self.packets,
-            seed: self.seed,
-            channel: self.channel,
-            traffic: self.traffic,
-            record_packets: false,
-            horizon: None,
-            trajectory: wsn_params::motion::Trajectory::Stationary,
-        };
-        let outcome = FastLinkSimulation::new(config, options)
-            .with_budget_table(Arc::clone(budgets))
-            .run();
-        ConfigResult {
-            config,
-            metrics: outcome.into_metrics(),
-        }
-    }
-
-    /// One configuration on the closed-form analytic engine. The seed is
-    /// carried but ignored (the evaluator is deterministic); repeated
-    /// evaluations hit the campaign's shared [`AnalyticTable`] memo.
-    ///
-    /// The constructor and [`with_channel`](Self::with_channel) keep the
-    /// memo keyed to the campaign channel, so the normal path goes
-    /// straight to the table — a warm config costs one hash, one
-    /// shared-lock read and one clone, with the link budget resolved only
-    /// on a miss. The equality check guards direct field mutation of the
-    /// `pub channel` (which bypasses the re-keying builder).
-    fn run_one_analytic(
+    /// The worker body: one configuration on the run's `runner`.
+    fn run_one_shared(
         &self,
         config: StackConfig,
-        budgets: &Arc<LinkBudgetTable>,
+        index: u64,
+        runner: &EngineRunner,
     ) -> ConfigResult {
-        let options = SimOptions {
-            packets: self.packets,
-            seed: self.seed,
-            channel: self.channel,
-            traffic: self.traffic,
-            record_packets: false,
-            horizon: None,
-            trajectory: wsn_params::motion::Trajectory::Stationary,
-        };
-        let metrics = if *self.analytic.config() == self.channel {
-            self.analytic
-                .lookup_or_eval(&config, &options, || {
-                    budgets.budget(config.power, config.distance)
-                })
-                .0
-        } else {
-            AnalyticLinkSimulation::new(config, options)
-                .with_budget_table(Arc::clone(budgets))
-                .run()
-                .into_metrics()
-        };
-        ConfigResult { config, metrics }
+        let outcome = runner.run(self.engine, config, self.packets, self.seed_for(index));
+        ConfigResult {
+            config,
+            metrics: outcome.metrics,
+        }
     }
 
     /// Simulates every configuration in `configs`, preserving order.
@@ -297,11 +221,11 @@ impl Campaign {
     ) -> StreamStats {
         let total = configs.len();
         let threads = self.threads.min(total).max(1);
-        let shared = self.shared();
+        let runner = self.runner();
 
         if threads <= 1 || total < 4 {
             for (i, &config) in configs.iter().enumerate() {
-                let result = self.run_one_shared(config, (base + i) as u64, &shared);
+                let result = self.run_one_shared(config, (base + i) as u64, &runner);
                 sink.on_result(base + i, &result);
             }
             sink.on_complete(total);
@@ -317,12 +241,12 @@ impl Campaign {
         // was the cause of the campaign's *negative* thread scaling — at
         // sub-5 µs per fast config, even an uncontended lock per run
         // showed up; contended, it inverted the scaling curve.)
-        shared
-            .budgets
+        runner
+            .budgets()
             .prewarm(configs.iter().map(|c| (c.power, c.distance)));
 
         if self.engine != EngineMode::Golden {
-            return self.run_span_batch_parallel(configs, base, sink, threads, &shared);
+            return self.run_span_batch_parallel(configs, base, sink, threads, &runner);
         }
 
         // Workers that finish ahead of the in-order frontier may run at
@@ -343,12 +267,8 @@ impl Campaign {
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    // Per-worker copy of the run-shared state: same seed
-                    // derivation, private (pre-warmed) budget table.
-                    let local = SharedRun {
-                        base: shared.base,
-                        budgets: Arc::new(shared.budgets.clone_table()),
-                    };
+                    // Per-worker runner: a private (pre-warmed) budget table.
+                    let local = runner.fork();
                     loop {
                         let i = next_claim.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
@@ -411,18 +331,14 @@ impl Campaign {
         base: usize,
         sink: &mut S,
         threads: usize,
-        shared: &SharedRun,
+        runner: &EngineRunner,
     ) -> StreamStats {
         let total = configs.len();
         let exec = BatchExecutor::new(threads);
         let results = exec.map_init(
             configs,
-            || Arc::new(shared.budgets.clone_table()),
-            |budgets, _i, config| match self.engine {
-                EngineMode::Fast => self.run_one_fast(*config, budgets),
-                EngineMode::Analytic => self.run_one_analytic(*config, budgets),
-                EngineMode::Golden => unreachable!("golden uses the reorder-window path"),
-            },
+            || runner.fork(),
+            |local, i, config| self.run_one_shared(*config, (base + i) as u64, local),
         );
         for (i, result) in results.iter().enumerate() {
             sink.on_result(base + i, result);
@@ -439,13 +355,6 @@ impl Campaign {
         let configs: Vec<StackConfig> = grid.iter().collect();
         self.run_configs(&configs)
     }
-}
-
-/// Run-wide shared state: every configuration derives its seed from the
-/// same base factory and draws link budgets from the same memo table.
-struct SharedRun {
-    base: RngFactory,
-    budgets: Arc<LinkBudgetTable>,
 }
 
 /// In-order delivery state shared by workers.
@@ -543,15 +452,16 @@ mod tests {
 
     #[test]
     fn per_config_seeds_differ_but_are_stable() {
-        let campaign = Campaign {
-            packets: 60,
-            ..Campaign::new(Scale::Quick)
-        };
-        let base = RngFactory::new(campaign.seed);
-        let a = campaign.options_with(base, 0).seed;
-        let b = campaign.options_with(base, 1).seed;
+        let golden = Campaign::new(Scale::Quick);
+        let (a, b) = (golden.seed_for(0), golden.seed_for(1));
         assert_ne!(a, b);
-        assert_eq!(a, campaign.options_with(base, 0).seed);
+        assert_eq!(a, golden.seed_for(0));
+        // The fast and analytic engines take the campaign seed verbatim.
+        for engine in [EngineMode::Fast, EngineMode::Analytic] {
+            let campaign = golden.clone().with_engine(engine);
+            assert_eq!(campaign.seed_for(0), campaign.seed);
+            assert_eq!(campaign.seed_for(7), campaign.seed);
+        }
     }
 
     #[test]

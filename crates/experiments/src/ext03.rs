@@ -11,10 +11,12 @@
 //!
 //! [`AdaptiveTuner`]: wsn_models::adapt::AdaptiveTuner
 
-use wsn_link_sim::simulation::{LinkSimulation, SimOptions};
+use wsn_analytic::runner::EngineRunner;
+use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::adapt::{AdaptiveTuner, SnrEstimator, TuneObjective};
 use wsn_params::config::StackConfig;
 use wsn_radio::channel::ChannelConfig;
+use wsn_sim_engine::mode::EngineMode;
 
 use crate::campaign::Scale;
 use crate::report::{fnum, Report, Table};
@@ -62,17 +64,9 @@ pub struct PhaseOutcome {
 }
 
 fn run_phase(config: StackConfig, extra_db: f64, packets: u64, seed: u64) -> PhaseOutcome {
-    let outcome = LinkSimulation::new(
-        config,
-        SimOptions {
-            record_packets: false,
-            ..SimOptions::quick(packets)
-        }
-        .with_seed(seed)
-        .with_channel(channel_with_extra_loss(extra_db)),
-    )
-    .run();
-    let m = outcome.metrics();
+    let m = EngineRunner::new(channel_with_extra_loss(extra_db), TrafficModel::Periodic)
+        .run(EngineMode::Golden, config, packets, seed)
+        .metrics;
     PhaseOutcome {
         snr_db: m.mean_snr_db,
         payload: config.payload.bytes(),

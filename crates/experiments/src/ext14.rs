@@ -10,16 +10,11 @@
 //! evaluations saved. The shipped claim (pinned by the tests) is ≤ 5 %
 //! energy regret at a quarter of the grid.
 
-use std::sync::Arc;
-
-use wsn_analytic::table::AnalyticTable;
-use wsn_analytic::AnalyticLinkSimulation;
-use wsn_link_sim::simulation::SimOptions;
+use wsn_analytic::runner::EngineRunner;
 use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::explore::explore_grid;
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
-use wsn_radio::budget::LinkBudgetTable;
 use wsn_radio::channel::ChannelConfig;
 
 use crate::campaign::Scale;
@@ -41,33 +36,22 @@ fn slice() -> ParamGrid {
 /// serve layer's analytic backend (periodic traffic at each candidate's
 /// own operating point).
 struct Evaluator {
-    budgets: Arc<LinkBudgetTable>,
-    table: Arc<AnalyticTable>,
+    runner: EngineRunner,
     packets: u64,
 }
 
 impl Evaluator {
     fn new(scale: Scale) -> Self {
-        let channel = ChannelConfig::paper_hallway();
         Evaluator {
-            budgets: Arc::new(LinkBudgetTable::new(channel)),
-            table: Arc::new(AnalyticTable::new(channel)),
+            runner: EngineRunner::new(ChannelConfig::paper_hallway(), TrafficModel::Periodic),
             packets: scale.packets(),
         }
     }
 
     /// Energy per information bit of one candidate, µJ/bit.
     fn energy(&self, config: StackConfig) -> f64 {
-        let options = SimOptions {
-            packets: self.packets,
-            record_packets: false,
-            traffic: TrafficModel::Periodic,
-            ..SimOptions::paper(0)
-        };
-        AnalyticLinkSimulation::new(config, options)
-            .with_budget_table(Arc::clone(&self.budgets))
-            .with_cache(Arc::clone(&self.table))
-            .run()
+        self.runner
+            .analytic(config, self.packets)
             .into_metrics()
             .u_eng_uj_per_bit
     }

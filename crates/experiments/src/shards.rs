@@ -7,13 +7,17 @@
 //! completion, so the rename is the checkpoint unit: a file named
 //! `shard-NNNN.jsonl` is always complete and bit-exact.
 //!
+//! Before the first shard, the run writes its identity — engine, packets,
+//! seed, traffic, channel, configuration and shard counts — to
+//! `campaign.json` ([`CampaignManifest`]) the same way.
+//!
 //! **Resume** is therefore trivial and robust: re-running the same campaign
 //! into the same directory skips every completed shard (and deletes any
-//! stale `.tmp` left by a kill), then simulates only the missing ones.
-//! Because per-configuration seeds derive from the *global* configuration
-//! index (see [`Campaign::run_span`](crate::campaign::Campaign::run_span)),
-//! a resumed run produces byte-identical shard files to an uninterrupted
-//! one.
+//! stale `.tmp` left by a kill), then simulates only the missing ones; a
+//! run whose identity differs from `campaign.json` is refused. Because
+//! per-configuration seeds derive from the *global* configuration index
+//! (see [`Campaign::seed_for`]), a resumed run produces byte-identical
+//! shard files to an uninterrupted one.
 
 use std::fmt;
 use std::fs::{self, File};
@@ -22,12 +26,13 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
+use wsn_link_sim::traffic::TrafficModel;
 use wsn_obs::hist::LogLinearHistogram;
 use wsn_obs::log::EventLog;
 use wsn_obs::span::Span;
 use wsn_params::config::StackConfig;
+use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::mode::EngineMode;
-use wsn_sim_engine::rng::RngFactory;
 
 use crate::campaign::{Campaign, ConfigResult};
 use crate::stream::SinkFn;
@@ -55,6 +60,94 @@ pub struct ShardReport {
     pub configs_simulated: usize,
 }
 
+/// File name of a checkpoint directory's run identity.
+pub const MANIFEST_FILE: &str = "campaign.json";
+
+/// The run identity of a checkpoint directory: everything that decides
+/// the bytes of its shard files.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CampaignManifest {
+    /// Simulation backend.
+    pub engine: EngineMode,
+    /// Packets per configuration.
+    pub packets: u64,
+    /// Base campaign seed.
+    pub seed: u64,
+    /// Arrival process.
+    pub traffic: TrafficModel,
+    /// Propagation environment.
+    pub channel: ChannelConfig,
+    /// Configurations in the whole run.
+    pub configs: usize,
+    /// Shards the run is split into.
+    pub shards: usize,
+}
+
+impl CampaignManifest {
+    /// The identity of `campaign` over `configs` configurations in
+    /// `shards` shards.
+    fn new(campaign: &Campaign, configs: usize, shards: usize) -> Self {
+        CampaignManifest {
+            engine: campaign.engine,
+            packets: campaign.packets,
+            seed: campaign.seed,
+            traffic: campaign.traffic,
+            channel: campaign.channel,
+            configs,
+            shards,
+        }
+    }
+
+    /// The first field in which `other` differs from this manifest, with
+    /// `other`'s value and this one's. Fields compare as written JSON, so
+    /// a float that writes as `null` (an unbounded shadowing distance)
+    /// equals itself after a round trip.
+    fn mismatch(&self, other: &CampaignManifest) -> Option<(&'static str, String, String)> {
+        fn json(value: &impl Serialize) -> String {
+            serde_json::to_string(value).expect("the writer cannot fail")
+        }
+        let fields = |m: &CampaignManifest| {
+            [
+                ("engine", json(&m.engine)),
+                ("packets", json(&m.packets)),
+                ("seed", json(&m.seed)),
+                ("traffic", json(&m.traffic)),
+                ("channel", json(&m.channel)),
+                ("configs", json(&m.configs)),
+                ("shards", json(&m.shards)),
+            ]
+        };
+        fields(other)
+            .into_iter()
+            .zip(fields(self))
+            .find(|((_, theirs), (_, ours))| theirs != ours)
+            .map(|((field, theirs), (_, ours))| (field, theirs, ours))
+    }
+
+    /// Reads `dir`'s manifest: `None` when the directory has none, an
+    /// error when the file cannot be read or parsed.
+    fn read(dir: &Path) -> Result<Option<Self>, ShardError> {
+        let path = dir.join(MANIFEST_FILE);
+        match fs::read_to_string(&path) {
+            Ok(text) => serde_json::from_str(&text)
+                .map(Some)
+                .map_err(|e| ShardError::Serde(path, format!("{e:?}"))),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(ShardError::Io(path, e)),
+        }
+    }
+
+    /// Writes the manifest into `dir` through a `.tmp` file and a rename.
+    fn write(&self, dir: &Path) -> Result<(), ShardError> {
+        let path = dir.join(MANIFEST_FILE);
+        let tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
+        let json = serde_json::to_string_pretty(self)
+            .map_err(|e| ShardError::Serde(path.clone(), format!("{e:?}")))?;
+        fs::write(&tmp, json + "\n").map_err(|e| ShardError::Io(tmp.clone(), e))?;
+        fs::rename(&tmp, &path).map_err(|e| ShardError::Io(path, e))
+    }
+}
+
 /// Errors from shard I/O.
 #[derive(Debug)]
 pub enum ShardError {
@@ -62,6 +155,12 @@ pub enum ShardError {
     Io(PathBuf, io::Error),
     /// A shard line failed to (de)serialize.
     Serde(PathBuf, String),
+    /// The directory's `campaign.json` records another run: the field
+    /// that differs, its recorded value and this run's value.
+    Mismatch(PathBuf, &'static str, String, String),
+    /// The directory holds shard files but no `campaign.json`, so the run
+    /// that wrote them is unknown.
+    Unrecorded(PathBuf),
 }
 
 impl fmt::Display for ShardError {
@@ -71,6 +170,18 @@ impl fmt::Display for ShardError {
             ShardError::Serde(path, e) => {
                 write!(f, "shard serialization error at {}: {e}", path.display())
             }
+            ShardError::Mismatch(path, field, recorded, ours) => write!(
+                f,
+                "{} records `{field}` {recorded}, but this run has {ours}; \
+                 resume with the recorded settings or choose a fresh directory",
+                path.display()
+            ),
+            ShardError::Unrecorded(dir) => write!(
+                f,
+                "{} holds shard files but no {MANIFEST_FILE}; the run that wrote them \
+                 is unknown, so choose a fresh directory",
+                dir.display()
+            ),
         }
     }
 }
@@ -108,14 +219,17 @@ pub fn shard_spans(total: usize, shards: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs `configs` split into `shards` checkpointed spans, writing each
-/// completed span to `dir` as JSONL. Skips shards whose files already
-/// exist (resume) and removes stale `.tmp` files first.
+/// completed span to `dir` as JSONL. Writes `campaign.json` first, or,
+/// when the directory already has one, checks it against this run; skips
+/// shards whose files already exist (resume) and removes stale `.tmp`
+/// files first.
 ///
 /// # Errors
 ///
-/// Returns [`ShardError`] on any filesystem or serialization failure; a
-/// failed shard leaves at most a `.tmp` file behind, never a truncated
-/// final file.
+/// Returns [`ShardError`] on any filesystem or serialization failure, and
+/// [`ShardError::Mismatch`] / [`ShardError::Unrecorded`] when `dir` holds
+/// another run's (or an unknown run's) checkpoints; a failed shard leaves
+/// at most a `.tmp` file behind, never a truncated final file.
 pub fn run_sharded(
     campaign: &Campaign,
     configs: &[StackConfig],
@@ -143,6 +257,21 @@ pub fn run_sharded_logged(
     log: &EventLog,
 ) -> Result<ShardReport, ShardError> {
     fs::create_dir_all(dir).map_err(|e| ShardError::Io(dir.to_path_buf(), e))?;
+    let manifest = CampaignManifest::new(campaign, configs.len(), shards);
+    match CampaignManifest::read(dir)? {
+        Some(recorded) => {
+            if let Some((field, theirs, ours)) = manifest.mismatch(&recorded) {
+                return Err(ShardError::Mismatch(
+                    dir.join(MANIFEST_FILE),
+                    field,
+                    theirs,
+                    ours,
+                ));
+            }
+        }
+        None if shard_path(dir, 0).exists() => return Err(ShardError::Unrecorded(dir.into())),
+        None => manifest.write(dir)?,
+    }
     let spans = shard_spans(configs.len(), shards);
     let mut report = ShardReport {
         total_configs: configs.len(),
@@ -275,50 +404,68 @@ pub fn read_shard_dir(dir: &Path) -> Result<Vec<ConfigResult>, ShardError> {
 /// would compute for every configuration of a campaign checkpoint
 /// directory — the `repro serve --warm-from-campaign` path. Hits against
 /// the warmed cache are byte-identical to fresh answers because both
-/// sides serialize the same structs with the same serializer; what this
-/// function must replay exactly is the campaign's **seed derivation**:
-/// the golden engine derives one seed per global grid index, while the
-/// fast and analytic engines take the campaign seed verbatim (fast
-/// re-derives per-config streams internally; analytic ignores seeds).
-///
-/// `packets` must match the campaign's per-configuration packet count
-/// (quick scale is 400 — also the serve protocol's default).
+/// sides serialize the same structs with the same serializer. Engine,
+/// packets and seed come from the directory's `campaign.json`, and each
+/// configuration's seed from [`Campaign::seed_for`], so an entry lands on
+/// exactly the cache line of the question the campaign answered.
 ///
 /// # Errors
 ///
-/// Returns a message on shard-read failure.
-pub fn serve_warm_entries(
-    dir: &Path,
-    engine: EngineMode,
-    packets: u64,
-) -> Result<Vec<(String, String)>, String> {
-    let results = read_shard_dir(dir)
-        .map_err(|e| format!("cannot read campaign shards from {}: {e}", dir.display()))?;
-    let campaign_seed = Campaign::new(crate::campaign::Scale::Quick).seed;
-    let base = RngFactory::new(campaign_seed);
+/// Returns a message when the directory has no `campaign.json`, when its
+/// channel or traffic is not the serve paper profile's (the only profile
+/// `simulate` answers on), or on a shard-read failure.
+pub fn serve_warm_entries(dir: &Path) -> Result<(CampaignManifest, Vec<(String, String)>), String> {
+    let unreadable =
+        |e: ShardError| format!("cannot read campaign checkpoint {}: {e}", dir.display());
+    let manifest = CampaignManifest::read(dir)
+        .map_err(unreadable)?
+        .ok_or_else(|| {
+            format!(
+                "{} has no {MANIFEST_FILE}; warm-up needs a checkpoint written by \
+                 `repro campaign --out DIR`",
+                dir.display()
+            )
+        })?;
+    let paper = wsn_serve::protocol::Profile::Paper;
+    let served = CampaignManifest {
+        channel: paper.channel(),
+        traffic: paper.traffic(),
+        ..manifest.clone()
+    };
+    if let Some((field, ..)) = served.mismatch(&manifest) {
+        return Err(format!(
+            "{} records a campaign on another `{field}` than the serve paper profile's; \
+             its results answer no `simulate` request",
+            dir.join(MANIFEST_FILE).display()
+        ));
+    }
+    let results = read_shard_dir(dir).map_err(unreadable)?;
+    let campaign = Campaign {
+        engine: manifest.engine,
+        packets: manifest.packets,
+        seed: manifest.seed,
+        ..Campaign::new(crate::campaign::Scale::Quick)
+    };
     let mut entries = Vec::with_capacity(results.len());
     for (index, result) in results.iter().enumerate() {
-        let seed = match engine {
-            EngineMode::Golden => base.derive(index as u64).seed(),
-            EngineMode::Fast | EngineMode::Analytic => campaign_seed,
-        };
+        let seed = campaign.seed_for(index as u64);
         let body = wsn_serve::engine::simulate_result_body(
             &result.config,
-            packets,
+            campaign.packets,
             seed,
-            engine,
+            campaign.engine,
             &result.metrics,
         );
         let key = wsn_serve::protocol::cache_key(&wsn_serve::protocol::RequestBody::Simulate {
             config: result.config,
-            packets,
+            packets: campaign.packets,
             seed,
-            engine,
+            engine: campaign.engine,
         })
         .expect("simulate requests always have a cache key");
         entries.push((key, body));
     }
-    Ok(entries)
+    Ok((manifest, entries))
 }
 
 #[cfg(test)]
@@ -468,41 +615,113 @@ mod tests {
 
     #[test]
     fn warm_entries_are_byte_identical_to_live_golden_answers() {
-        // A quick-scale campaign over a tiny grid, checkpointed to
-        // shards, must warm a serve engine such that the live question —
-        // same config, campaign-derived seed, quick packets — is a cache
-        // hit with the exact bytes a cold compute would produce.
-        let campaign = Campaign {
-            threads: 2,
-            ..Campaign::new(Scale::Quick)
-        };
-        let configs = tiny_configs();
-        let dir = temp_dir("warm");
-        run_sharded(&campaign, &configs, &dir, 2).unwrap();
-
-        let entries = serve_warm_entries(&dir, EngineMode::Golden, campaign.packets).unwrap();
-        assert_eq!(entries.len(), configs.len());
-
-        let warmed = wsn_serve::engine::Engine::new(4);
-        for (key, body) in &entries {
-            warmed.warm_insert(key, body).unwrap();
-        }
-        let cold = wsn_serve::engine::Engine::new(4);
-        let base = RngFactory::new(campaign.seed);
-        for (index, config) in configs.iter().enumerate() {
-            let request = wsn_serve::protocol::RequestBody::Simulate {
-                config: *config,
-                packets: campaign.packets,
-                seed: base.derive(index as u64).seed(),
-                engine: EngineMode::Golden,
+        // On golden, fast and analytic alike, a quick-scale campaign over
+        // a tiny grid, checkpointed to shards, must warm a serve engine
+        // such that the live question —
+        // same config, campaign seed rule, quick packets — is a cache hit
+        // with the exact bytes a cold compute would produce.
+        for engine in [EngineMode::Golden, EngineMode::Fast, EngineMode::Analytic] {
+            let campaign = Campaign {
+                threads: 2,
+                ..Campaign::new(Scale::Quick).with_engine(engine)
             };
-            let hit = warmed.execute(&request).unwrap();
-            assert!(hit.cached, "config {index} missed the warmed cache");
-            let computed = cold.execute(&request).unwrap();
-            assert!(!computed.cached);
-            assert_eq!(*hit.body, *computed.body, "config {index} bytes differ");
-        }
+            let configs = tiny_configs();
+            let dir = temp_dir(&format!("warm-{}", engine.name()));
+            run_sharded(&campaign, &configs, &dir, 2).unwrap();
 
+            let (manifest, entries) = serve_warm_entries(&dir).unwrap();
+            assert_eq!(manifest.engine, engine);
+            assert_eq!(entries.len(), configs.len());
+
+            let warmed = wsn_serve::engine::Engine::new(4);
+            for (key, body) in &entries {
+                warmed.warm_insert(key, body).unwrap();
+            }
+            let cold = wsn_serve::engine::Engine::new(4);
+            for (index, config) in configs.iter().enumerate() {
+                let request = wsn_serve::protocol::RequestBody::Simulate {
+                    config: *config,
+                    packets: campaign.packets,
+                    seed: campaign.seed_for(index as u64),
+                    engine,
+                };
+                let hit = warmed.execute(&request).unwrap();
+                assert!(
+                    hit.cached,
+                    "{engine:?} config {index} missed the warmed cache"
+                );
+                let computed = cold.execute(&request).unwrap();
+                assert!(!computed.cached);
+                assert_eq!(
+                    *hit.body, *computed.body,
+                    "{engine:?} config {index} bytes differ"
+                );
+            }
+
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn resume_under_another_run_identity_is_refused() {
+        let campaign = bench_campaign();
+        let configs = tiny_configs();
+        let dir = temp_dir("identity");
+        run_sharded(&campaign, &configs, &dir, 2).unwrap();
+        let before = read_all_shard_bytes(&dir);
+
+        let engine = campaign.clone().with_engine(EngineMode::Analytic);
+        let packets = Campaign {
+            packets: campaign.packets + 1,
+            ..campaign.clone()
+        };
+        for (other, shards, field) in [
+            (&engine, 2, "engine"),
+            (&packets, 2, "packets"),
+            (&campaign, 3, "shards"),
+        ] {
+            let err = run_sharded(other, &configs, &dir, shards).unwrap_err();
+            match &err {
+                ShardError::Mismatch(_, named, _, _) => assert_eq!(*named, field, "{err}"),
+                _ => panic!("expected a {field} mismatch, got: {err}"),
+            }
+            assert!(err.to_string().contains(&format!("`{field}`")), "{err}");
+        }
+        // Nothing was overwritten, and the recorded run still resumes.
+        assert_eq!(read_all_shard_bytes(&dir), before);
+        let report = run_sharded(&campaign, &configs, &dir, 2).unwrap();
+        assert_eq!(report.shards_skipped, 2);
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn shards_without_a_manifest_are_refused() {
+        let campaign = bench_campaign();
+        let configs = tiny_configs();
+        let dir = temp_dir("unrecorded");
+        run_sharded(&campaign, &configs, &dir, 2).unwrap();
+        fs::remove_file(dir.join(MANIFEST_FILE)).unwrap();
+
+        let err = run_sharded(&campaign, &configs, &dir, 2).unwrap_err();
+        assert!(matches!(err, ShardError::Unrecorded(_)), "got: {err}");
+        let err = serve_warm_entries(&dir).unwrap_err();
+        assert!(err.contains(MANIFEST_FILE), "{err}");
+
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_up_refuses_a_channel_the_serve_profile_does_not_answer_on() {
+        let campaign = Campaign {
+            threads: 1,
+            ..Campaign::new(Scale::Bench)
+        }
+        .with_channel(wsn_radio::channel::ChannelConfig::case_study());
+        let dir = temp_dir("channel");
+        run_sharded(&campaign, &tiny_configs(), &dir, 1).unwrap();
+        let err = serve_warm_entries(&dir).unwrap_err();
+        assert!(err.contains("`channel`"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -2,9 +2,9 @@
 //! `result` JSON string, consulting the sharded result cache first.
 //!
 //! The engine owns exactly the shared state every worker needs — one
-//! evaluation context per [`Profile`] (channel, load, the memoized
-//! [`LinkBudgetTable`] and [`AnalyticTable`] pinned to that channel, and
-//! the golden [`Optimizer`]), one [`ShardedCache`], one [`ServeStats`] —
+//! evaluation context per [`Profile`] (an [`EngineRunner`] on its channel
+//! and load, and the golden [`Optimizer`]), one [`ShardedCache`], one
+//! [`ServeStats`] —
 //! and no per-connection state, so a single `Arc<Engine>` fans out to the
 //! whole pool.
 //!
@@ -21,22 +21,17 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use wsn_analytic::table::AnalyticTable;
-use wsn_analytic::{AnalyticLinkSimulation, AnalyticOutcome, AnalyticReport};
+use wsn_analytic::runner::EngineRunner;
+use wsn_analytic::AnalyticReport;
 use wsn_link_sim::catalog::{all_scenarios, build_scenario};
-use wsn_link_sim::fast::FastLinkSimulation;
 use wsn_link_sim::metrics::LinkMetrics;
 use wsn_link_sim::network::{AirStats, NetOptions, NetworkSimulation, TopoStats};
-use wsn_link_sim::simulation::{LinkSimulation, SimOptions};
-use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::explore::explore_grid;
 use wsn_models::optimize::{knee_of_front, pareto_front_indices, Metric, Optimizer};
 use wsn_models::predict::{LinkBudget, Predicted};
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
 use wsn_params::types::Distance;
-use wsn_radio::budget::LinkBudgetTable;
-use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::mode::EngineMode;
 
 use serde::Serialize;
@@ -103,76 +98,29 @@ pub struct Engine {
 /// under a millisecond while keeping `Instant::now` off the hot path.
 const DEADLINE_STRIDE: u64 = 64;
 
-/// Everything a [`Profile`] pins: its channel and load, the memo tables
-/// (each is valid for one channel only, hence one set per profile) and
-/// the golden optimizer on its link budget.
+/// Everything a [`Profile`] pins: the engine runner on its channel and
+/// load (the memo tables are valid for one channel only, hence one runner
+/// per profile) and the golden optimizer on its link budget.
 #[derive(Debug)]
 struct ProfileCtx {
-    channel: ChannelConfig,
-    traffic: TrafficModel,
-    budgets: Arc<LinkBudgetTable>,
-    analytic: Arc<AnalyticTable>,
+    runner: EngineRunner,
     optimizer: Optimizer,
 }
 
 impl ProfileCtx {
-    /// The paper profile is the hallway channel at each configuration's
-    /// periodic operating point; the case study is the shadowed channel
-    /// under saturating (bulk-transfer) load — the Sec. VIII-C regime
-    /// where the published winner (`Ptx=31`, interior payload, `N=3`)
-    /// emerges.
+    /// The paper profile's optimizer predicts on the hallway budget; the
+    /// case study's on the shadowed 35 m budget of Sec. VIII-C, where the
+    /// published winner (`Ptx=31`, interior payload, `N=3`) emerges.
     fn new(profile: Profile) -> Self {
-        let (channel, traffic, budget) = match profile {
-            Profile::Paper => (
-                ChannelConfig::paper_hallway(),
-                TrafficModel::Periodic,
-                LinkBudget::paper_hallway(),
-            ),
-            Profile::CaseStudy => (
-                ChannelConfig::case_study(),
-                TrafficModel::Saturating,
-                LinkBudget::case_study(),
-            ),
-        };
         let mut optimizer = Optimizer::paper();
-        optimizer.predictor.budget = budget;
+        optimizer.predictor.budget = match profile {
+            Profile::Paper => LinkBudget::paper_hallway(),
+            Profile::CaseStudy => LinkBudget::case_study(),
+        };
         ProfileCtx {
-            channel,
-            traffic,
-            budgets: Arc::new(LinkBudgetTable::new(channel)),
-            analytic: Arc::new(AnalyticTable::new(channel)),
+            runner: EngineRunner::new(profile.channel(), profile.traffic()),
             optimizer,
         }
-    }
-
-    /// The single-link run options of this profile. The channel must be
-    /// set on the options too: the memo tables only engage when their
-    /// channel matches.
-    fn options(&self, packets: u64, seed: u64) -> SimOptions {
-        SimOptions {
-            packets,
-            record_packets: false,
-            channel: self.channel,
-            traffic: self.traffic,
-            ..SimOptions::paper(seed)
-        }
-    }
-
-    /// One closed-form evaluation through the memo table (seed-free by
-    /// construction, so no seed parameter exists to forget).
-    fn analytic(&self, config: StackConfig, packets: u64) -> AnalyticOutcome {
-        AnalyticLinkSimulation::new(config, self.options(packets, DEFAULT_SEED))
-            .with_budget_table(Arc::clone(&self.budgets))
-            .with_cache(Arc::clone(&self.analytic))
-            .run()
-    }
-
-    /// One fast-sampler run.
-    fn fast(&self, config: StackConfig, packets: u64, seed: u64) -> LinkMetrics {
-        FastLinkSimulation::new(config, self.options(packets, seed))
-            .with_budget_table(Arc::clone(&self.budgets))
-            .run()
-            .into_metrics()
     }
 }
 
@@ -181,10 +129,10 @@ impl ProfileCtx {
 enum Scorer {
     /// The golden closed-form predictor (microseconds).
     Predictor,
-    /// The memoized M/G/1 closed form at the candidate's operating point.
-    Analytic,
-    /// The fast per-packet sampler at the default scale and seed.
-    Fast,
+    /// A simulating engine at the default scale and seed: the memoized
+    /// M/G/1 closed form at the candidate's operating point, or the fast
+    /// per-packet sampler.
+    Engine(EngineMode),
 }
 
 impl Scorer {
@@ -194,8 +142,8 @@ impl Scorer {
     /// fast at parse time.
     fn of(engine: EngineMode, explore: bool) -> Self {
         match engine {
-            EngineMode::Analytic => Scorer::Analytic,
-            EngineMode::Fast if explore => Scorer::Fast,
+            EngineMode::Analytic => Scorer::Engine(engine),
+            EngineMode::Fast if explore => Scorer::Engine(engine),
             _ => Scorer::Predictor,
         }
     }
@@ -267,10 +215,12 @@ impl Evaluator<'_> {
     fn score(&self, config: StackConfig) -> Score {
         match self.scorer {
             Scorer::Predictor => Score::Predicted(self.ctx.optimizer.predictor.evaluate(&config)),
-            Scorer::Analytic => {
-                Score::Simulated(self.ctx.analytic(config, DEFAULT_PACKETS).into_metrics())
-            }
-            Scorer::Fast => Score::Simulated(self.ctx.fast(config, DEFAULT_PACKETS, DEFAULT_SEED)),
+            Scorer::Engine(engine) => Score::Simulated(
+                self.ctx
+                    .runner
+                    .run(engine, config, DEFAULT_PACKETS, DEFAULT_SEED)
+                    .metrics,
+            ),
         }
     }
 }
@@ -661,7 +611,7 @@ impl Engine {
             )),
             RequestBody::Predict { config, engine } => Ok(match engine {
                 EngineMode::Analytic => {
-                    let outcome = self.paper().analytic(*config, DEFAULT_PACKETS);
+                    let outcome = self.paper().runner.analytic(*config, DEFAULT_PACKETS);
                     render(&AnalyticPredictResult {
                         config: *config,
                         engine: engine.name().to_string(),
@@ -794,10 +744,9 @@ impl Engine {
         }
     }
 
-    /// Runs one configuration under the requested engine mode. Golden is
-    /// the event-driven replay (and feeds the executor-load counters);
-    /// fast is the coalesced per-packet sampler, which has no event loop
-    /// to observe; analytic is the seed-free M/G/1 closed form.
+    /// Runs one configuration under the requested engine mode. Only the
+    /// golden engine has an event loop, and only its load feeds the
+    /// executor counters.
     fn simulate(
         &self,
         config: StackConfig,
@@ -805,18 +754,11 @@ impl Engine {
         seed: u64,
         engine: EngineMode,
     ) -> LinkMetrics {
-        let paper = self.paper();
-        match engine {
-            EngineMode::Golden => {
-                let outcome = LinkSimulation::new(config, paper.options(packets, seed))
-                    .with_budget_table(Arc::clone(&paper.budgets))
-                    .run();
-                self.stats.observe_exec(&outcome.exec);
-                outcome.metrics().clone()
-            }
-            EngineMode::Fast => paper.fast(config, packets, seed),
-            EngineMode::Analytic => paper.analytic(config, packets).into_metrics(),
+        let outcome = self.paper().runner.run(engine, config, packets, seed);
+        if let Some(exec) = &outcome.exec {
+            self.stats.observe_exec(exec);
         }
+        outcome.metrics
     }
 
     /// The `tune` op: the ε-constraint optimum over the paper grid. The
@@ -854,7 +796,7 @@ impl Engine {
         let grid_configs = grid.len() as u64;
         // A memo hit: the scan already evaluated the winner.
         let analytic = (engine == EngineMode::Analytic).then(|| {
-            let outcome = paper.analytic(config, DEFAULT_PACKETS);
+            let outcome = paper.runner.analytic(config, DEFAULT_PACKETS);
             AnalyticTuneDetail {
                 candidates_ranked: grid_configs,
                 report: outcome.report,
@@ -868,8 +810,12 @@ impl Engine {
             engine: engine.name().to_string(),
             config,
             predicted: paper.optimizer.predictor.evaluate(&config),
-            simulated: (engine != EngineMode::Golden)
-                .then(|| paper.fast(config, DEFAULT_PACKETS, DEFAULT_SEED)),
+            simulated: (engine != EngineMode::Golden).then(|| {
+                paper
+                    .runner
+                    .run(EngineMode::Fast, config, DEFAULT_PACKETS, DEFAULT_SEED)
+                    .metrics
+            }),
             analytic,
         }))
     }

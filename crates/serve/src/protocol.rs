@@ -17,9 +17,11 @@
 use std::fmt::Write as _;
 
 use wsn_link_sim::catalog::{all_timelines, build_scenario, build_timeline};
+use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::optimize::Metric;
 use wsn_params::config::StackConfig;
 use wsn_params::timeline::{ScenarioTimeline, TopologyEvent};
+use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::mode::EngineMode;
 
 use serde_json::Value;
@@ -177,6 +179,23 @@ impl Profile {
         match self {
             Profile::Paper => "paper",
             Profile::CaseStudy => "case-study",
+        }
+    }
+
+    /// The channel the profile's questions are asked on.
+    pub fn channel(self) -> ChannelConfig {
+        match self {
+            Profile::Paper => ChannelConfig::paper_hallway(),
+            Profile::CaseStudy => ChannelConfig::case_study(),
+        }
+    }
+
+    /// The profile's load: each configuration's periodic operating point,
+    /// or a saturating bulk transfer.
+    pub fn traffic(self) -> TrafficModel {
+        match self {
+            Profile::Paper => TrafficModel::Periodic,
+            Profile::CaseStudy => TrafficModel::Saturating,
         }
     }
 
@@ -479,19 +498,28 @@ fn parse_packets(value: Option<&Value>) -> Result<u64, String> {
 
 /// Parses a `scenario` request's optional `"timeline"` field: a string
 /// catalog id, a full `ScenarioTimeline` object, or a bare event array.
+/// An inline event's `t_s` must be a finite number (a `null` would read
+/// as NaN), with the text the timeline check gives it at run time.
 fn parse_timeline(value: &Value) -> Result<Option<TimelineSpec>, String> {
+    let inline =
+        |timeline: ScenarioTimeline| match timeline.events().iter().find(|e| !e.t_s.is_finite()) {
+            Some(e) => Err(format!(
+                "invalid timeline: event id {} has invalid timestamp {}",
+                e.id, e.t_s
+            )),
+            None => Ok(Some(TimelineSpec::Inline(timeline))),
+        };
     match value {
         Value::Null => Ok(None),
         Value::Str(id) => Ok(Some(TimelineSpec::Id(id.clone()))),
-        Value::Object(_) => {
-            let timeline: ScenarioTimeline = serde_json::from_value(value)
-                .map_err(|e| format!("timeline object does not parse: {e}"))?;
-            Ok(Some(TimelineSpec::Inline(timeline)))
-        }
+        Value::Object(_) => inline(
+            serde_json::from_value(value)
+                .map_err(|e| format!("timeline object does not parse: {e}"))?,
+        ),
         Value::Array(_) => {
             let events: Vec<TopologyEvent> = serde_json::from_value(value)
                 .map_err(|e| format!("timeline events do not parse: {e}"))?;
-            Ok(Some(TimelineSpec::Inline(ScenarioTimeline::new(events))))
+            inline(ScenarioTimeline::new(events))
         }
         other => Err(format!(
             "timeline must be a catalog id string, a timeline object, or an event array, got {}",
@@ -523,16 +551,17 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         error,
     };
     let reject = |error: String| reject_code(ErrCode::BadRequest, error);
+    // A top-level number given as `null` is refused, not read as absent:
+    // `Value::field` reads both as `Null`, so presence comes from the
+    // entries (first occurrence, as `field` finds it).
+    let given = |key: &str| entries.iter().find(|(k, _)| k == key).map(|(_, v)| v);
 
-    match root.field("proto") {
-        Value::Null => {}
-        v => {
-            let proto = require_u64(v, "proto").map_err(&reject)?;
-            if proto != PROTO_VERSION {
-                return Err(reject(format!(
-                    "unsupported proto {proto}; this server speaks proto {PROTO_VERSION}"
-                )));
-            }
+    if let Some(v) = given("proto") {
+        let proto = require_u64(v, "proto").map_err(&reject)?;
+        if proto != PROTO_VERSION {
+            return Err(reject(format!(
+                "unsupported proto {proto}; this server speaks proto {PROTO_VERSION}"
+            )));
         }
     }
 
@@ -612,21 +641,13 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         }
     }
 
-    let deadline_ms = match root.field("deadline_ms") {
-        Value::Null => None,
-        v => Some(require_u64(v, "deadline_ms").map_err(&reject)?),
-    };
+    let deadline_ms = given("deadline_ms")
+        .map(|v| require_u64(v, "deadline_ms"))
+        .transpose()
+        .map_err(&reject)?;
 
-    let seed_of = |root: &Value| -> Result<u64, String> {
-        match root.field("seed") {
-            Value::Null => Ok(DEFAULT_SEED),
-            v => require_u64(v, "seed"),
-        }
-    };
-    let packets_field = match root.field("packets") {
-        Value::Null => None,
-        v => Some(v),
-    };
+    let seed_of = || given("seed").map_or(Ok(DEFAULT_SEED), |v| require_u64(v, "seed"));
+    let packets_field = given("packets");
     let engine_of = |root: &Value| -> Result<EngineMode, String> {
         match root.field("engine") {
             Value::Null => Ok(EngineMode::Golden),
@@ -672,11 +693,10 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         }
         Ok(constraints)
     };
-    let distance_of = |root: &Value| -> Result<Option<f64>, String> {
-        match root.field("distance_m") {
-            Value::Null => Ok(None),
-            v => Ok(Some(require_f64(v, "distance_m")?)),
-        }
+    let distance_of = || {
+        given("distance_m")
+            .map(|v| require_f64(v, "distance_m"))
+            .transpose()
     };
 
     let body = match op {
@@ -686,7 +706,7 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
                 v => parse_config(v).map_err(&reject)?,
             },
             packets: parse_packets(packets_field).map_err(&reject)?,
-            seed: seed_of(&root).map_err(&reject)?,
+            seed: seed_of().map_err(&reject)?,
             engine: engine_of(&root).map_err(|e| reject_code(ErrCode::UnknownEngine, e))?,
         },
         Op::Predict => {
@@ -709,7 +729,7 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
         Op::Tune => RequestBody::Tune {
             objective: objective_of(&root, "tune").map_err(&reject)?,
             constraints: constraints_of(&root).map_err(&reject)?,
-            distance_m: distance_of(&root).map_err(&reject)?,
+            distance_m: distance_of().map_err(&reject)?,
             engine: engine_of(&root).map_err(|e| reject_code(ErrCode::UnknownEngine, e))?,
         },
         Op::Pareto => {
@@ -752,19 +772,19 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
             };
             RequestBody::Pareto {
                 metrics,
-                distance_m: distance_of(&root).map_err(&reject)?,
+                distance_m: distance_of().map_err(&reject)?,
                 engine,
                 profile: profile_of(&root).map_err(&reject)?,
             }
         }
         Op::Explore => {
-            let budget = match root.field("budget") {
-                Value::Null => {
+            let budget = match given("budget") {
+                None => {
                     return Err(reject(
                         "explore needs a 'budget' (max candidate evaluations)".to_string(),
                     ))
                 }
-                v => require_u64(v, "budget").map_err(&reject)?,
+                Some(v) => require_u64(v, "budget").map_err(&reject)?,
             };
             if budget == 0 {
                 return Err(reject("budget must be at least 1".to_string()));
@@ -773,7 +793,7 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
                 objective: objective_of(&root, "explore").map_err(&reject)?,
                 constraints: constraints_of(&root).map_err(&reject)?,
                 budget,
-                distance_m: distance_of(&root).map_err(&reject)?,
+                distance_m: distance_of().map_err(&reject)?,
                 engine: engine_of(&root).map_err(|e| reject_code(ErrCode::UnknownEngine, e))?,
                 profile: profile_of(&root).map_err(&reject)?,
             }
@@ -785,7 +805,7 @@ pub fn parse_request(line: &str) -> Result<Request, Rejection> {
                 .ok_or_else(|| reject("scenario op needs a string 'scenario' id".to_string()))?
                 .to_string(),
             packets: parse_packets(packets_field).map_err(&reject)?,
-            seed: seed_of(&root).map_err(&reject)?,
+            seed: seed_of().map_err(&reject)?,
             timeline: parse_timeline(root.field("timeline")).map_err(&reject)?,
         },
         Op::Cache => RequestBody::Cache {
@@ -1106,6 +1126,79 @@ mod tests {
         ))
         .unwrap_err();
         assert!(rej.error.contains("cap"));
+    }
+
+    /// Asserts that `line` is a `bad_request` whose error is `error`.
+    fn assert_bad_request(line: &str, error: &str) {
+        let rej = parse_request(line).unwrap_err();
+        assert_eq!(rej.code, ErrCode::BadRequest, "{line}");
+        assert_eq!(rej.error, error, "{line}");
+    }
+
+    #[test]
+    fn a_null_top_level_number_is_refused_not_read_as_absent() {
+        for (line, error) in [
+            (
+                r#"{"op":"tune","objective":"energy","distance_m":null}"#,
+                "distance_m must be a number, got null",
+            ),
+            (
+                r#"{"op":"pareto","distance_m":null}"#,
+                "distance_m must be a number, got null",
+            ),
+            (
+                r#"{"op":"explore","objective":"energy","budget":64,"distance_m":null}"#,
+                "distance_m must be a number, got null",
+            ),
+            (
+                r#"{"op":"simulate","seed":null}"#,
+                "seed must be a non-negative integer, got null",
+            ),
+            (
+                r#"{"op":"scenario","scenario":"parallel-4","seed":null}"#,
+                "seed must be a non-negative integer, got null",
+            ),
+            (
+                r#"{"op":"simulate","packets":null}"#,
+                "packets must be a non-negative integer, got null",
+            ),
+            (
+                r#"{"op":"stats","deadline_ms":null}"#,
+                "deadline_ms must be a non-negative integer, got null",
+            ),
+            (
+                r#"{"op":"explore","objective":"energy","budget":null}"#,
+                "budget must be a non-negative integer, got null",
+            ),
+            (
+                r#"{"op":"stats","proto":null}"#,
+                "proto must be a non-negative integer, got null",
+            ),
+        ] {
+            assert_bad_request(line, error);
+        }
+        // Absent still means the default.
+        let req = parse_request(r#"{"op":"simulate"}"#).unwrap();
+        assert_eq!(req.deadline_ms, None);
+        match req.body {
+            RequestBody::Simulate { packets, seed, .. } => {
+                assert_eq!((packets, seed), (DEFAULT_PACKETS, DEFAULT_SEED));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_inline_timeline_event_without_a_finite_time_is_refused() {
+        let error = "invalid timeline: event id 9 has invalid timestamp NaN";
+        assert_bad_request(
+            r#"{"op":"scenario","scenario":"parallel-4","timeline":[{"t_s":null,"link":1,"id":9,"action":"Leave"}]}"#,
+            error,
+        );
+        assert_bad_request(
+            r#"{"op":"scenario","scenario":"parallel-4","timeline":{"events":[{"t_s":1.0,"link":1,"id":8,"action":"Leave"},{"t_s":null,"link":1,"id":9,"action":"Join"}]}}"#,
+            error,
+        );
     }
 
     #[test]

@@ -9,15 +9,18 @@
 //!
 //! Invariants, on every mutant: `parse_request` never panics and gives an
 //! equal `Result` (field for field, NaN included) on a second call; an
-//! `Ok` carries no NaN in a config distance or a scan's distance or
-//! constraint bound, and `cache_key` never panics on it; and every
+//! `Ok` carries no NaN in a config distance, a scan's distance or
+//! constraint bound, or an inline timeline event's time, and `cache_key`
+//! never panics on it; and every
 //! `Rejection` renders through `envelope_err` to one line that
 //! `serde_json::parse` accepts, with `"ok":false` and the rejection's
 //! wire code.
 
 use std::panic::catch_unwind;
 
-use wsn_serve::protocol::{cache_key, envelope_err, parse_request, Rejection, RequestBody};
+use wsn_serve::protocol::{
+    cache_key, envelope_err, parse_request, Rejection, RequestBody, TimelineSpec,
+};
 
 /// What each scalar value is replaced with: wrong types, out-of-range and
 /// overflowing numbers, and empty containers.
@@ -151,6 +154,10 @@ fn carries_nan(body: &RequestBody) -> bool {
             ..
         } => distance_m.is_some_and(f64::is_nan) || constraints.iter().any(|(_, max)| max.is_nan()),
         RequestBody::Pareto { distance_m, .. } => distance_m.is_some_and(f64::is_nan),
+        RequestBody::Scenario {
+            timeline: Some(TimelineSpec::Inline(timeline)),
+            ..
+        } => timeline.events().iter().any(|e| e.t_s.is_nan()),
         _ => false,
     }
 }
@@ -159,9 +166,9 @@ fn carries_nan(body: &RequestBody) -> bool {
 fn check(input: &str) -> Result<(), String> {
     let first = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
     let second = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
-    // Compared through `Debug`: an inline timeline's `"t_s":null` still
-    // parses to NaN (a worker refuses it later), and NaN-bearing results
-    // are never `==`.
+    // Compared through `Debug`, because NaN is never `==`: a `null`
+    // coordinate of an inline timeline's `Move` still parses to NaN (the
+    // network model decides what a position means).
     if format!("{first:?}") != format!("{second:?}") {
         return Err(format!("nondeterministic: {first:?} vs {second:?}"));
     }

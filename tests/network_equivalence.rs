@@ -14,8 +14,9 @@ use wsn_linkconf::experiments::campaign::{Campaign, ConfigResult, Scale};
 use wsn_linkconf::prelude::*;
 
 /// The golden fixture's per-config options, reproduced through the
-/// network path: seed derivation must match `Campaign::options_with`
-/// (base factory at the campaign seed, config `i` derives index `i`).
+/// network path: seed derivation must match the golden rule of
+/// `Campaign::seed_for` (base factory at the campaign seed, config `i`
+/// derives index `i`).
 fn net_options_for(campaign: &Campaign, index: u64) -> NetOptions {
     NetOptions {
         packets: campaign.packets,
