@@ -44,6 +44,17 @@
 //! Experiment `ext12` (`wsn-experiments`) holds the engine to an explicit
 //! error budget against the fast simulator across a stratified grid.
 //!
+//! ## Two stages, one memo
+//!
+//! [`evaluate`] is [`queue_stage`] of [`link_stage`]. The link stage — the
+//! timing terms, the attempt algebra, the service moments and the
+//! delivered-service quantiles — reads only distance, power, `NmaxTries`,
+//! `Dretry`, payload and the channel; `Tpkt`, `Qmax`, the traffic model and
+//! the packet count enter only in the closed-form queue stage. The paper
+//! grid's 48,384 configurations therefore share 3,456 link stages, and
+//! [`table::AnalyticTable`] memoizes exactly those: a hit is one lookup
+//! plus the queue stage.
+//!
 //! ## Determinism
 //!
 //! The evaluator is a pure function of `(config, options.channel,
@@ -196,9 +207,9 @@ impl AnalyticLinkSimulation {
         self
     }
 
-    /// Attaches a shared result memo: repeat evaluations of the same
-    /// `(config, packets, traffic)` under the table's channel become a
-    /// lookup (used when its channel matches the options' channel).
+    /// Attaches a shared link-stage memo: evaluations that share a link
+    /// tuple under the table's channel pay only for the queue stage (used
+    /// when its channel matches the options' channel).
     pub fn with_cache(mut self, cache: Arc<AnalyticTable>) -> Self {
         self.cache = Some(cache);
         self
@@ -206,10 +217,10 @@ impl AnalyticLinkSimulation {
 
     /// Runs the evaluation.
     ///
-    /// The link budget is resolved lazily: a result-memo hit never pays
-    /// for a budget-table lookup (the budget is baked into the memoized
-    /// metrics), which keeps the warm serve/campaign path to one hash,
-    /// one shared-lock read and one clone.
+    /// The link budget is resolved lazily: a memo hit never pays for a
+    /// budget-table lookup (the budget is baked into the memoized link
+    /// stage), which keeps the warm serve/campaign path to one hash, one
+    /// shared-lock read and the closed-form queue stage.
     pub fn run(&self) -> AnalyticOutcome {
         let budget = || match &self.budgets {
             Some(table) if *table.config() == self.options.channel => {
@@ -323,7 +334,8 @@ fn count(expected: f64, limit: u64) -> u64 {
     (expected.max(0.0).round() as u64).min(limit)
 }
 
-/// Evaluates one configuration in closed form.
+/// Evaluates one configuration in closed form:
+/// [`queue_stage`] of [`link_stage`].
 ///
 /// `budget` must describe `config`'s operating point under
 /// `options.channel` (use [`LinkBudget::compute`] or a
@@ -335,11 +347,70 @@ pub fn evaluate(
     options: &SimOptions,
     budget: LinkBudget,
 ) -> (LinkMetrics, AnalyticReport) {
-    let channel = &options.channel;
+    queue_stage(
+        config,
+        options,
+        &link_stage(config, &options.channel, budget),
+    )
+}
+
+/// The link stage of one evaluation: every term above the queue. It reads
+/// only the link — distance and power (through the budget), `NmaxTries`,
+/// `Dretry`, the payload and the channel — so it is shared by every
+/// `Tpkt`, `Qmax`, traffic model and packet count, and it is what
+/// [`AnalyticTable`] memoizes. Build one with [`link_stage`]; finish it
+/// with [`queue_stage`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkStage {
+    // Deterministic timing terms, µs.
+    spi_us: f64,
+    frame_us: f64,
+    turnaround_us: f64,
+    ack_rx_us: f64,
+    ack_timeout_us: f64,
+    retry_us: f64,
+    /// Mean listening prologue (initial backoff + CCA loop), µs.
+    r_mean: f64,
+    /// Mean observed noise floor, dBm.
+    mean_noise_dbm: f64,
+    /// The budget's mean RSSI, dBm.
+    mean_rssi_dbm: f64,
+    // Per-packet attempt algebra.
+    p_lost: f64,
+    p_acked: f64,
+    p_delivered: f64,
+    e_attempts: f64,
+    e_copies: f64,
+    e_unacked_attempts: f64,
+    snr_wsum: f64,
+    rssi_wsum: f64,
+    // Service time.
+    service_mean_us: f64,
+    service: ServiceMoments,
+    service_min_us: f64,
+    service_max_us: f64,
+    /// The delivered-conditional service mixture, when any packet can be
+    /// delivered.
+    delivered: Option<DeliveredService>,
+}
+
+/// Mean and quantiles of the service time of a delivered packet, µs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DeliveredService {
+    mean_us: f64,
+    p50_us: f64,
+    p95_us: f64,
+    p99_us: f64,
+}
+
+/// Computes the link stage of `config` under `channel`.
+///
+/// `budget` must describe `config`'s operating point under `channel` (use
+/// [`LinkBudget::compute`] or a [`LinkBudgetTable`]). `Tpkt` and `Qmax`
+/// are not read.
+pub fn link_stage(config: &StackConfig, channel: &ChannelConfig, budget: LinkBudget) -> LinkStage {
     let n = config.max_tries.get() as usize;
     let nf = n as f64;
-    let packets = options.packets;
-    let packets_f = packets as f64;
 
     // ── deterministic timing terms, µs ───────────────────────────────
     let spi_us = timing::spi_load(config.payload).as_micros() as f64;
@@ -370,7 +441,6 @@ pub fn evaluate(
     } else {
         &[(0.0, 1.0)]
     };
-
     // Mean *observed* noise floor (interference lift included), for the
     // SNR bookkeeping the simulators do per attempt.
     let mut mean_noise_dbm = 0.0;
@@ -478,6 +548,117 @@ pub fn evaluate(
         second_moment_s2: service_m2_us2 / 1e12,
     };
 
+    // Hard bounds on one packet's service time.
+    let backoff_max_us =
+        (timing::INITIAL_BACKOFF_MAX_UNITS * timing::BACKOFF_UNIT.as_micros() as u32) as f64;
+    let cca_max_us = if cca_prob > 0.0 {
+        MAX_CCA_RETRIES as f64
+            * (CCA_SLOT_US
+                + (timing::CONGESTION_BACKOFF_MAX_UNITS * timing::BACKOFF_UNIT.as_micros() as u32)
+                    as f64)
+    } else {
+        0.0
+    };
+    let service_min_us =
+        spi_us + timing::BACKOFF_UNIT.as_micros() as f64 + turnaround_us + frame_us + ack_rx_us;
+    let service_max_us = spi_us
+        + nf * (backoff_max_us + cca_max_us + turnaround_us + frame_us)
+        + nf * ack_timeout_us
+        + (nf - 1.0).max(0.0) * retry_us
+        + ack_rx_us;
+
+    // ── the delivered-conditional service mixture ────────────────────
+    let delivered = (p_delivered > 1e-12).then(|| {
+        let mut mix = Vec::with_capacity(n + 1);
+        let mut mean_us = 0.0;
+        for k in 1..=n {
+            let w = acked_at[k - 1] / p_delivered;
+            let m = d_acked_us(k as f64);
+            mean_us += w * m;
+            mix.push(MixtureComponent {
+                weight: w,
+                mean: m,
+                sd: (k as f64 * r_var).sqrt(),
+            });
+        }
+        let w_fail = p_fail_delivered / p_delivered;
+        mean_us += w_fail * d_fail_us;
+        mix.push(MixtureComponent {
+            weight: w_fail,
+            mean: d_fail_us,
+            sd: (nf * r_var).sqrt(),
+        });
+        let q = |q: f64| math::mixture_quantile(&mix, q, 0.0, service_max_us);
+        DeliveredService {
+            mean_us,
+            p50_us: q(0.50),
+            p95_us: q(0.95),
+            p99_us: q(0.99),
+        }
+    });
+
+    LinkStage {
+        spi_us,
+        frame_us,
+        turnaround_us,
+        ack_rx_us,
+        ack_timeout_us,
+        retry_us,
+        r_mean,
+        mean_noise_dbm,
+        mean_rssi_dbm: budget.mean_rssi_dbm,
+        p_lost,
+        p_acked,
+        p_delivered,
+        e_attempts,
+        e_copies,
+        e_unacked_attempts,
+        snr_wsum,
+        rssi_wsum,
+        service_mean_us,
+        service,
+        service_min_us,
+        service_max_us,
+        delivered,
+    }
+}
+
+/// Finishes an evaluation from its link stage: the queue (`Tpkt`, `Qmax`,
+/// `options.traffic`, `options.packets`), packet accounting, energy and
+/// the metric set. `link` must be [`link_stage`] of `config` under
+/// `options.channel`.
+pub fn queue_stage(
+    config: &StackConfig,
+    options: &SimOptions,
+    link: &LinkStage,
+) -> (LinkMetrics, AnalyticReport) {
+    let LinkStage {
+        spi_us,
+        frame_us,
+        turnaround_us,
+        ack_rx_us,
+        ack_timeout_us,
+        retry_us,
+        r_mean,
+        mean_noise_dbm,
+        mean_rssi_dbm,
+        p_lost,
+        p_acked,
+        p_delivered,
+        e_attempts,
+        e_copies,
+        e_unacked_attempts,
+        snr_wsum,
+        rssi_wsum,
+        service_mean_us,
+        service,
+        service_min_us,
+        service_max_us,
+        delivered: delivered_service,
+    } = *link;
+    let packets = options.packets;
+    let packets_f = packets as f64;
+
     // ── queueing ─────────────────────────────────────────────────────
     let cap = config.queue_cap.get() as usize;
     let interval_s = config.packet_interval.millis() as f64 / 1e3;
@@ -545,55 +726,15 @@ pub fn evaluate(
 
     // ── delays: wait mean + the delivered-conditional service mixture ─
     let wait_ms = wait_s * 1e3;
-    let backoff_max_us =
-        (timing::INITIAL_BACKOFF_MAX_UNITS * timing::BACKOFF_UNIT.as_micros() as u32) as f64;
-    let cca_max_us = if cca_prob > 0.0 {
-        MAX_CCA_RETRIES as f64
-            * (CCA_SLOT_US
-                + (timing::CONGESTION_BACKOFF_MAX_UNITS * timing::BACKOFF_UNIT.as_micros() as u32)
-                    as f64)
-    } else {
-        0.0
+    let (delay_mean_ms, delay_p50_ms, delay_p95_ms, delay_p99_ms) = match delivered_service {
+        Some(d) if delivered > 0 => (
+            wait_ms + d.mean_us / 1e3,
+            wait_ms + d.p50_us / 1e3,
+            wait_ms + d.p95_us / 1e3,
+            wait_ms + d.p99_us / 1e3,
+        ),
+        _ => (0.0, 0.0, 0.0, 0.0),
     };
-    let service_min_us =
-        spi_us + timing::BACKOFF_UNIT.as_micros() as f64 + turnaround_us + frame_us + ack_rx_us;
-    let service_max_us = spi_us
-        + nf * (backoff_max_us + cca_max_us + turnaround_us + frame_us)
-        + nf * ack_timeout_us
-        + (nf - 1.0).max(0.0) * retry_us
-        + ack_rx_us;
-
-    let (delay_mean_ms, delay_p50_ms, delay_p95_ms, delay_p99_ms) =
-        if delivered > 0 && p_delivered > 1e-12 {
-            let mut mix = Vec::with_capacity(n + 1);
-            let mut delivered_service_us = 0.0;
-            for k in 1..=n {
-                let w = acked_at[k - 1] / p_delivered;
-                let m = d_acked_us(k as f64);
-                delivered_service_us += w * m;
-                mix.push(MixtureComponent {
-                    weight: w,
-                    mean: m,
-                    sd: (k as f64 * r_var).sqrt(),
-                });
-            }
-            let w_fail = p_fail_delivered / p_delivered;
-            delivered_service_us += w_fail * d_fail_us;
-            mix.push(MixtureComponent {
-                weight: w_fail,
-                mean: d_fail_us,
-                sd: (nf * r_var).sqrt(),
-            });
-            let q = |q: f64| wait_ms + math::mixture_quantile(&mix, q, 0.0, service_max_us) / 1e3;
-            (
-                wait_ms + delivered_service_us / 1e3,
-                q(0.50),
-                q(0.95),
-                q(0.99),
-            )
-        } else {
-            (0.0, 0.0, 0.0, 0.0)
-        };
 
     // ── assembly, mirroring `MetricsAccumulator::finish` ─────────────
     let duration_metric_s = duration_s.max(f64::MIN_POSITIVE);
@@ -649,12 +790,12 @@ pub fn evaluate(
         mean_snr_db: if attempts > 0 {
             snr_wsum / e_attempts
         } else {
-            budget.mean_rssi_dbm - mean_noise_dbm
+            mean_rssi_dbm - mean_noise_dbm
         },
         mean_rssi_dbm: if attempts > 0 {
             rssi_wsum / e_attempts
         } else {
-            budget.mean_rssi_dbm
+            mean_rssi_dbm
         },
         utilization: (busy_s / duration_metric_s).min(1.0),
     };

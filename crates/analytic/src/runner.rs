@@ -5,7 +5,7 @@
 //! count and seed" — so they all ask it here. An [`EngineRunner`] pins the
 //! channel and traffic model and carries the two memo tables keyed to that
 //! channel: the link-budget table the sampling engines draw from and the
-//! analytic result memo.
+//! analytic link-stage memo.
 
 use std::sync::Arc;
 

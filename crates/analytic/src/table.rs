@@ -1,12 +1,14 @@
-//! A shared memo of analytic evaluations.
+//! A shared memo of analytic link stages.
 //!
-//! The evaluator is a pure function of `(config, channel, traffic,
-//! packets)` — the campaign seed never enters it — so caching results is
-//! semantically invisible: a hit is bit-identical to a recomputation.
-//! This table is what turns the analytic engine's "microseconds per
-//! configuration" into "nanoseconds per repeat": grid scans, benchmark
-//! reps and serve traffic all revisit the same configurations, and a
-//! revisit is one hash and one clone.
+//! The evaluator splits at the queue: [`link_stage`] reads only the link
+//! (distance, power, `NmaxTries`, `Dretry`, payload) and the channel, and
+//! [`queue_stage`] adds `Tpkt`, `Qmax`, the traffic model and the packet
+//! count in closed form. Both are pure — the campaign seed never enters
+//! them — so memoizing the link stage is semantically invisible: a hit is
+//! one lookup plus the queue stage, bit-identical to a recomputation. The
+//! paper grid's 48,384 configurations share 3,456 link stages (576 per
+//! distance), so a whole-grid scan pays for each link stage once and
+//! every other configuration, traffic model or packet count is a hit.
 //!
 //! Like [`LinkBudgetTable`](wsn_radio::budget::LinkBudgetTable), the table
 //! is pinned to one [`ChannelConfig`]; callers must check
@@ -21,17 +23,16 @@ use std::sync::RwLock;
 
 use wsn_link_sim::metrics::LinkMetrics;
 use wsn_link_sim::simulation::SimOptions;
-use wsn_link_sim::traffic::TrafficModel;
 use wsn_params::config::StackConfig;
 use wsn_radio::budget::LinkBudget;
 use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::rng::splitmix64;
 
-use crate::{evaluate, AnalyticReport};
+use crate::{link_stage, queue_stage, AnalyticReport, LinkStage};
 
-/// Entry cap; past it the table is cleared wholesale. Grid campaigns top
-/// out at a few thousand configurations, so eviction is a backstop against
-/// unbounded serve workloads, not a tuning knob.
+/// Entry cap; past it the table is cleared wholesale. The whole paper grid
+/// needs 3,456 link stages, so eviction is a backstop against unbounded
+/// serve workloads (arbitrary distances and payloads), not a tuning knob.
 const MAX_ENTRIES: usize = 16_384;
 
 /// A splitmix64-chained hasher: the keys are already uniformly-distributed
@@ -59,42 +60,31 @@ impl Hasher for SplitmixHasher {
     }
 }
 
-/// The semantic identity of one evaluation: the seven configuration words
-/// (the same canonicalization `fast_seed` hashes), the packet budget and
-/// the traffic model. Seed, horizon and trajectory are excluded because
-/// the evaluator ignores them.
+/// The identity of one link stage: the five link words of the
+/// configuration (the same canonicalization `fast_seed` hashes). `Tpkt`,
+/// `Qmax`, packets, traffic, seed, horizon and trajectory are excluded
+/// because the link stage does not read them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
-    words: [u64; 9],
+    words: [u64; 5],
 }
 
-fn key_of(config: &StackConfig, options: &SimOptions) -> Key {
-    let traffic = match options.traffic {
-        TrafficModel::Periodic => 0u64,
-        TrafficModel::Poisson => 1,
-        TrafficModel::Saturating => 2,
-    };
+fn key_of(config: &StackConfig) -> Key {
     Key {
         words: [
             config.distance.meters().to_bits(),
             config.power.level() as u64,
             config.max_tries.get() as u64,
             config.retry_delay.millis() as u64,
-            config.queue_cap.get() as u64,
-            config.packet_interval.millis() as u64,
             config.payload.bytes() as u64,
-            options.packets,
-            traffic,
         ],
     }
 }
 
-/// A concurrent memo of `(config, packets, traffic) → (metrics, report)`
-/// for one channel.
+/// A concurrent memo of link stages for one channel.
 pub struct AnalyticTable {
     config: ChannelConfig,
-    entries:
-        RwLock<HashMap<Key, (LinkMetrics, AnalyticReport), BuildHasherDefault<SplitmixHasher>>>,
+    entries: RwLock<HashMap<Key, LinkStage, BuildHasherDefault<SplitmixHasher>>>,
 }
 
 impl AnalyticTable {
@@ -111,7 +101,7 @@ impl AnalyticTable {
         &self.config
     }
 
-    /// Number of memoized evaluations.
+    /// Number of memoized link stages.
     pub fn len(&self) -> usize {
         self.entries.read().expect("analytic table poisoned").len()
     }
@@ -121,14 +111,14 @@ impl AnalyticTable {
         self.len() == 0
     }
 
-    /// Returns the memoized evaluation of `config` under `options`,
-    /// computing and storing it on first sight.
+    /// Evaluates `config` under `options` from its memoized link stage,
+    /// computing and storing the link stage on first sight.
     ///
     /// `budget` is only called on a miss — a warm lookup costs one hash,
-    /// one shared-lock read and one clone, never a link-budget
-    /// computation. The caller is responsible for two contracts:
-    /// `options.channel` matches [`AnalyticTable::config`], and the
-    /// closure's budget describes `config`'s operating point under that
+    /// one shared-lock read and the closed-form [`queue_stage`], never a
+    /// link-budget computation. The caller is responsible for two
+    /// contracts: `options.channel` matches [`AnalyticTable::config`], and
+    /// the closure's budget describes `config`'s operating point under that
     /// channel.
     pub fn lookup_or_eval(
         &self,
@@ -136,22 +126,23 @@ impl AnalyticTable {
         options: &SimOptions,
         budget: impl FnOnce() -> LinkBudget,
     ) -> (LinkMetrics, AnalyticReport) {
-        let key = key_of(config, options);
-        if let Some(hit) = self
+        let key = key_of(config);
+        let hit = self
             .entries
             .read()
             .expect("analytic table poisoned")
             .get(&key)
-        {
-            return hit.clone();
-        }
-        let value = evaluate(config, options, budget());
-        let mut entries = self.entries.write().expect("analytic table poisoned");
-        if entries.len() >= MAX_ENTRIES {
-            entries.clear();
-        }
-        entries.insert(key, value.clone());
-        value
+            .copied();
+        let link = hit.unwrap_or_else(|| {
+            let link = link_stage(config, &self.config, budget());
+            let mut entries = self.entries.write().expect("analytic table poisoned");
+            if entries.len() >= MAX_ENTRIES {
+                entries.clear();
+            }
+            entries.insert(key, link);
+            link
+        });
+        queue_stage(config, options, &link)
     }
 }
 
@@ -167,6 +158,9 @@ impl std::fmt::Debug for AnalyticTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate;
+    use wsn_link_sim::traffic::TrafficModel;
+    use wsn_params::types::{MaxTries, PacketInterval, PayloadSize, QueueCap, RetryDelay};
 
     fn cfg(power: u8, dist: f64) -> StackConfig {
         StackConfig::builder()
@@ -199,21 +193,52 @@ mod tests {
         let table = AnalyticTable::new(options.channel);
         let base = cfg(23, 30.0);
         let budget = budget_for(&options, &base);
-        table.lookup_or_eval(&base, &options, || budget);
+        let reference = table.lookup_or_eval(&base, &options, || budget);
+        assert_eq!(table.len(), 1);
 
-        // A different configuration, packet budget or traffic model each
-        // claims its own slot.
-        let far = cfg(23, 35.0);
-        table.lookup_or_eval(&far, &options, || budget_for(&options, &far));
-        let more = SimOptions::quick(400);
-        table.lookup_or_eval(&base, &more, || budget);
-        let poisson = SimOptions::quick(200).with_traffic(TrafficModel::Poisson);
-        table.lookup_or_eval(&base, &poisson, || budget);
-        assert_eq!(table.len(), 4);
-
+        // Tpkt, Qmax, the packet budget and the traffic model share the
+        // link stage, yet each still yields its own metrics.
+        let mut queue_side = Vec::new();
+        let mut slower = base;
+        slower.packet_interval = PacketInterval::from_millis(200).unwrap();
+        queue_side.push((slower, options.clone()));
+        let mut shallow = base;
+        shallow.queue_cap = QueueCap::new(1).unwrap();
+        queue_side.push((shallow, options.clone()));
+        queue_side.push((base, SimOptions::quick(400)));
+        queue_side.push((base, options.clone().with_traffic(TrafficModel::Poisson)));
+        queue_side.push((base, options.clone().with_traffic(TrafficModel::Saturating)));
+        for (config, opts) in &queue_side {
+            let shared = table.lookup_or_eval(config, opts, || panic!("link stage is memoized"));
+            assert_ne!(shared, reference, "{config} must not reuse the metrics");
+            assert_eq!(
+                shared,
+                evaluate(config, opts, budget),
+                "hit == recomputation"
+            );
+        }
+        assert_eq!(table.len(), 1);
         // A different seed is the same evaluation.
-        let reseeded = SimOptions::quick(200).with_seed(77);
-        table.lookup_or_eval(&base, &reseeded, || budget);
-        assert_eq!(table.len(), 4);
+        let reseeded = options.clone().with_seed(77);
+        assert_eq!(table.lookup_or_eval(&base, &reseeded, || budget), reference);
+        assert_eq!(table.len(), 1);
+
+        // Each link word claims its own slot.
+        let mut link_side = Vec::new();
+        link_side.push(cfg(23, 35.0));
+        link_side.push(cfg(31, 30.0));
+        let mut retried = base;
+        retried.max_tries = MaxTries::new(8).unwrap();
+        link_side.push(retried);
+        let mut delayed = base;
+        delayed.retry_delay = RetryDelay::from_millis(100);
+        link_side.push(delayed);
+        let mut short = base;
+        short.payload = PayloadSize::new(5).unwrap();
+        link_side.push(short);
+        for (i, config) in link_side.iter().enumerate() {
+            table.lookup_or_eval(config, &options, || budget_for(&options, config));
+            assert_eq!(table.len(), i + 2, "{config} needs its own link stage");
+        }
     }
 }

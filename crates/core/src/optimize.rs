@@ -8,6 +8,9 @@
 //! are computed by exhaustive evaluation with the analytic
 //! [`Predictor`] — the same approach the paper's case study takes.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 
 use wsn_params::config::StackConfig;
@@ -73,14 +76,25 @@ impl Optimizer {
         }
     }
 
-    /// Evaluates every configuration of the grid.
+    /// Evaluates every configuration of the grid, in grid order.
     pub fn evaluate_grid(&self, grid: &ParamGrid) -> Vec<Evaluation> {
-        grid.iter()
-            .map(|config| Evaluation {
-                config,
-                predicted: self.predictor.evaluate(&config),
+        let mut evals = Vec::with_capacity(grid.len());
+        self.for_each(grid, |config, predicted| {
+            evals.push(Evaluation {
+                config: *config,
+                predicted: *predicted,
             })
-            .collect()
+        });
+        evals
+    }
+
+    /// Hands every configuration of the grid and its prediction to
+    /// `visit`, in grid order, through [`Predictor::scan`].
+    fn for_each(&self, grid: &ParamGrid, mut visit: impl FnMut(&StackConfig, &Predicted)) {
+        let _: ControlFlow<Infallible> = self.predictor.scan(grid, |config, predicted| {
+            visit(config, predicted);
+            ControlFlow::Continue(())
+        });
     }
 
     /// The exact Pareto front of the grid under the given metrics
@@ -93,14 +107,15 @@ impl Optimizer {
     pub fn pareto_front(&self, grid: &ParamGrid, metrics: &[Metric]) -> Vec<Evaluation> {
         assert!(!metrics.is_empty(), "need at least one metric");
         let evals = self.evaluate_grid(grid);
-        let values: Vec<Vec<f64>> = evals
-            .iter()
-            .map(|e| metrics.iter().map(|m| m.value(&e.predicted)).collect())
-            .collect();
-        let mut front = pareto_front_indices(&values);
+        let k = metrics.len();
+        let mut values = Vec::with_capacity(evals.len() * k);
+        for e in &evals {
+            values.extend(metrics.iter().map(|m| m.value(&e.predicted)));
+        }
+        let mut front = pareto_front_indices(&values, k);
         front.sort_by(|&a, &b| {
-            values[a][0]
-                .partial_cmp(&values[b][0])
+            values[a * k]
+                .partial_cmp(&values[b * k])
                 .expect("finite values compare")
         });
         front.into_iter().map(|i| evals[i]).collect()
@@ -108,27 +123,32 @@ impl Optimizer {
 
     /// The epsilon-constraint method: minimizes `objective` subject to
     /// `metric ≤ epsilon` for every `(metric, epsilon)` constraint.
-    /// Returns `None` when no grid point is feasible.
+    /// Returns `None` when no grid point is feasible; among equal optima
+    /// the first in grid order wins.
     pub fn epsilon_constraint(
         &self,
         grid: &ParamGrid,
         objective: Metric,
         constraints: &[(Metric, f64)],
     ) -> Option<Evaluation> {
-        self.evaluate_grid(grid)
-            .into_iter()
-            .filter(|e| {
-                constraints
-                    .iter()
-                    .all(|(m, eps)| m.value(&e.predicted) <= *eps)
-            })
-            .filter(|e| objective.value(&e.predicted).is_finite())
-            .min_by(|a, b| {
-                objective
-                    .value(&a.predicted)
-                    .partial_cmp(&objective.value(&b.predicted))
-                    .expect("finite objective values compare")
-            })
+        let mut best: Option<(Evaluation, f64)> = None;
+        self.for_each(grid, |config, predicted| {
+            if !constraints
+                .iter()
+                .all(|(m, eps)| m.value(predicted) <= *eps)
+            {
+                return;
+            }
+            let value = objective.value(predicted);
+            if value.is_finite() && best.is_none_or(|(_, b)| value < b) {
+                let evaluation = Evaluation {
+                    config: *config,
+                    predicted: *predicted,
+                };
+                best = Some((evaluation, value));
+            }
+        });
+        best.map(|(evaluation, _)| evaluation)
     }
 
     /// The paper's case-study formulation (Sec. VIII-B): maximize goodput
@@ -140,12 +160,12 @@ impl Optimizer {
     /// Panics if `slack < 1.0`.
     pub fn joint_energy_goodput(&self, grid: &ParamGrid, slack: f64) -> Option<Evaluation> {
         assert!(slack >= 1.0, "slack must be >= 1.0, got {slack}");
-        let best_energy = self
-            .evaluate_grid(grid)
-            .into_iter()
-            .map(|e| e.predicted.u_eng_uj_per_bit)
-            .filter(|u| u.is_finite())
-            .fold(f64::INFINITY, f64::min);
+        let mut best_energy = f64::INFINITY;
+        self.for_each(grid, |_, predicted| {
+            if predicted.u_eng_uj_per_bit.is_finite() {
+                best_energy = best_energy.min(predicted.u_eng_uj_per_bit);
+            }
+        });
         if !best_energy.is_finite() {
             return None;
         }
@@ -174,15 +194,15 @@ impl Optimizer {
             "weights must be positive and finite"
         );
         let evals = self.evaluate_grid(grid);
-        let values: Vec<Vec<f64>> = evals
-            .iter()
-            .map(|e| weights.iter().map(|(m, _)| m.value(&e.predicted)).collect())
-            .collect();
-        // Min-max bounds per metric over finite points.
         let k = weights.len();
+        let mut values = Vec::with_capacity(evals.len() * k);
+        for e in &evals {
+            values.extend(weights.iter().map(|(m, _)| m.value(&e.predicted)));
+        }
+        // Min-max bounds per metric over finite points.
         let mut lo = vec![f64::INFINITY; k];
         let mut hi = vec![f64::NEG_INFINITY; k];
-        for v in &values {
+        for v in values.chunks_exact(k) {
             if v.iter().all(|x| x.is_finite()) {
                 for i in 0..k {
                     lo[i] = lo[i].min(v[i]);
@@ -191,7 +211,7 @@ impl Optimizer {
             }
         }
         let mut best: Option<(usize, f64)> = None;
-        for (idx, v) in values.iter().enumerate() {
+        for (idx, v) in values.chunks_exact(k).enumerate() {
             if !v.iter().all(|x| x.is_finite()) {
                 continue;
             }
@@ -259,20 +279,31 @@ pub fn knee_of_front(xy: &[(f64, f64)]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Indices of the exact Pareto front of `values` (each row one candidate's
-/// metric vector, all in minimization sense), ascending. Rows with any
-/// non-finite coordinate never join the front; among duplicate-valued rows
-/// only the first survives. Candidates are compared incrementally against
-/// the running front, so the cost is `O(n · |front|)` rather than `O(n²)`.
-pub fn pareto_front_indices(values: &[Vec<f64>]) -> Vec<usize> {
+/// Indices of the exact Pareto front of `values`, ascending. `values`
+/// holds one row of `width` metrics per candidate, row after row, all in
+/// minimization sense. Rows with any non-finite coordinate never join the
+/// front; among duplicate-valued rows only the first survives. Candidates
+/// are compared incrementally against the running front (an archive), so
+/// the cost is `O(n · |front|)` rather than `O(n²)`.
+///
+/// # Panics
+///
+/// Panics if `width` is zero or does not divide `values.len()`.
+pub fn pareto_front_indices(values: &[f64], width: usize) -> Vec<usize> {
+    assert!(
+        width > 0 && values.len().is_multiple_of(width),
+        "{} values do not form rows of width {width}",
+        values.len()
+    );
+    let row = |i: usize| &values[i * width..(i + 1) * width];
     let mut front: Vec<usize> = Vec::new();
-    'candidate: for (i, v) in values.iter().enumerate() {
+    'candidate: for (i, v) in values.chunks_exact(width).enumerate() {
         if v.iter().any(|x| !x.is_finite()) {
             continue;
         }
         let mut j = 0;
         while j < front.len() {
-            let f = &values[front[j]];
+            let f = row(front[j]);
             if dominates(f, v) || f == v {
                 continue 'candidate;
             }
@@ -484,19 +515,29 @@ mod tests {
 
     #[test]
     fn pareto_front_indices_rejects_non_finite_and_keeps_first_duplicate() {
-        let values = vec![
-            vec![1.0, 4.0],
-            vec![2.0, f64::NAN],
-            vec![1.0, 4.0],           // duplicate of row 0
-            vec![0.5, f64::INFINITY], // non-finite never joins
-            vec![3.0, 1.0],
-            vec![2.0, 2.0],
-            vec![4.0, 4.0], // dominated by rows 0 and 5
+        let values = [
+            1.0,
+            4.0, //
+            2.0,
+            f64::NAN, //
+            1.0,
+            4.0, // duplicate of row 0
+            0.5,
+            f64::INFINITY, // non-finite never joins
+            3.0,
+            1.0, //
+            2.0,
+            2.0, //
+            4.0,
+            4.0, // dominated by rows 0 and 5
         ];
-        assert_eq!(pareto_front_indices(&values), vec![0, 4, 5]);
+        assert_eq!(pareto_front_indices(&values, 2), vec![0, 4, 5]);
         // A later candidate evicts an earlier front member it dominates.
-        let evict = vec![vec![2.0, 2.0], vec![1.0, 1.0]];
-        assert_eq!(pareto_front_indices(&evict), vec![1]);
+        let evict = [2.0, 2.0, 1.0, 1.0];
+        assert_eq!(pareto_front_indices(&evict, 2), vec![1]);
+        // Three metrics per row.
+        let three = [1.0, 2.0, 3.0, 1.0, 2.0, 4.0, 0.0, 5.0, 5.0];
+        assert_eq!(pareto_front_indices(&three, 3), vec![0, 2]);
     }
 
     #[test]

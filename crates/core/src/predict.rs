@@ -6,10 +6,16 @@
 //! `(Ptx, d)` to an expected SNR, yielding a [`Predicted`] vector of all
 //! four performance metrics per configuration.
 
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 
 use wsn_params::config::StackConfig;
-use wsn_params::types::{Distance, PowerLevel};
+use wsn_params::error::InvalidParam;
+use wsn_params::grid::ParamGrid;
+use wsn_params::types::{
+    Distance, MaxTries, PacketInterval, PayloadSize, PowerLevel, QueueCap, RetryDelay,
+};
 use wsn_radio::pathloss::PathLoss;
 
 use crate::energy::EnergyModel;
@@ -127,27 +133,144 @@ impl Predictor {
     /// Evaluates one configuration at an explicitly known SNR (e.g. a
     /// measured one), bypassing the link budget.
     pub fn evaluate_at_snr(&self, config: &StackConfig, snr_db: f64) -> Predicted {
-        let u_eng = self
-            .energy
-            .u_eng_uj_per_bit(snr_db, config.payload, config.power);
-        let max_goodput = self.goodput.max_goodput_bps(
+        self.link_terms(
             snr_db,
             config.payload,
+            config.power,
             config.max_tries,
             config.retry_delay,
-        );
-        let t_service_s = self.service.plugin_service_time_s(
+        )
+        .predict(config)
+    }
+
+    /// The terms of a prediction that read only the link.
+    fn link_terms(
+        &self,
+        snr_db: f64,
+        payload: PayloadSize,
+        power: PowerLevel,
+        max_tries: MaxTries,
+        retry_delay: RetryDelay,
+    ) -> LinkTerms {
+        LinkTerms {
             snr_db,
-            config.payload,
-            config.max_tries,
-            config.retry_delay,
-        );
+            u_eng: self.energy.u_eng_uj_per_bit(snr_db, payload, power),
+            max_goodput: self
+                .goodput
+                .max_goodput_bps(snr_db, payload, max_tries, retry_delay),
+            t_service_s: self.service.plugin_service_time_s(
+                snr_db,
+                payload,
+                max_tries,
+                retry_delay,
+            ),
+            plr_radio: self.loss.radio.rate(snr_db, payload, max_tries),
+        }
+    }
+
+    /// Predicts every configuration of `grid`, in [`ParamGrid::iter`]
+    /// order, handing each to `visit` until it breaks.
+    ///
+    /// Each `Predicted` is bit-identical to [`evaluate`](Self::evaluate)'s,
+    /// but the scan is cheaper than calling it per configuration: the axes
+    /// are validated once, configurations are assembled without the
+    /// builder, the SNR is computed once per `(d, Ptx)` and the link terms
+    /// (energy, maximum goodput, service time, radio loss) once per
+    /// `(d, Ptx, NmaxTries, Dretry, lD)` — 576 tuples of the paper grid's
+    /// 8,064 configurations per distance. Only ρ, the queue blocking, the
+    /// offered goodput and the delay are computed per configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid axis value, like [`ParamGrid::iter`].
+    pub fn scan<B>(
+        &self,
+        grid: &ParamGrid,
+        mut visit: impl FnMut(&StackConfig, &Predicted) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        if grid.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        fn axis<V: Copy, T>(values: &[V], make: impl Fn(V) -> Result<T, InvalidParam>) -> Vec<T> {
+            values
+                .iter()
+                .map(|&v| make(v).expect("grid axis values must be valid"))
+                .collect()
+        }
+        let distances = axis(&grid.distances_m, Distance::from_meters);
+        let powers = axis(&grid.power_levels, PowerLevel::new);
+        let tries = axis(&grid.max_tries, MaxTries::new);
+        let retries: Vec<RetryDelay> = grid
+            .retry_delays_ms
+            .iter()
+            .map(|&ms| RetryDelay::from_millis(ms))
+            .collect();
+        let caps = axis(&grid.queue_caps, QueueCap::new);
+        let intervals = axis(&grid.packet_intervals_ms, PacketInterval::from_millis);
+        let payloads = axis(&grid.payloads, PayloadSize::new);
+
+        let mut links = Vec::with_capacity(payloads.len());
+        for &distance in &distances {
+            for &power in &powers {
+                let snr_db = self.budget.snr_db(power, distance);
+                for &max_tries in &tries {
+                    for &retry_delay in &retries {
+                        links.clear();
+                        links.extend(payloads.iter().map(|&payload| {
+                            self.link_terms(snr_db, payload, power, max_tries, retry_delay)
+                        }));
+                        for &queue_cap in &caps {
+                            for &packet_interval in &intervals {
+                                for (&payload, link) in payloads.iter().zip(&links) {
+                                    let config = StackConfig {
+                                        distance,
+                                        power,
+                                        max_tries,
+                                        retry_delay,
+                                        queue_cap,
+                                        packet_interval,
+                                        payload,
+                                    };
+                                    visit(&config, &link.predict(&config))?;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The link terms of a prediction: everything that reads only the SNR
+/// and `(lD, Ptx, NmaxTries, Dretry)`, shared by every `Tpkt` and `Qmax`.
+#[derive(Debug, Clone, Copy)]
+struct LinkTerms {
+    snr_db: f64,
+    /// Energy per information bit (Eq. 2), µJ/bit.
+    u_eng: f64,
+    /// Maximum goodput (Eq. 4), b/s.
+    max_goodput: f64,
+    /// Mean service time (Eqs. 5–7), s.
+    t_service_s: f64,
+    /// Radio loss rate (Eq. 8).
+    plr_radio: f64,
+}
+
+impl LinkTerms {
+    /// Adds the queue terms of `config` (`Tpkt`, `Qmax`): ρ (Eq. 9), the
+    /// M/M/1/K blocking, the offered goodput and the mean delay.
+    fn predict(&self, config: &StackConfig) -> Predicted {
+        let LinkTerms {
+            snr_db,
+            u_eng,
+            max_goodput,
+            t_service_s,
+            plr_radio,
+        } = *self;
         let rho = t_service_s / config.packet_interval.as_secs_f64();
         let plr_queue = mm1k_blocking(rho, config.queue_cap.get() as usize);
-        let plr_radio = self
-            .loss
-            .radio
-            .rate(snr_db, config.payload, config.max_tries);
 
         // Delivered fraction of the periodic offered load.
         let offered_goodput = config.offered_load_bps() * (1.0 - plr_queue) * (1.0 - plr_radio);
@@ -251,6 +374,55 @@ mod tests {
         let pred = p.evaluate(&cfg(27, 20.0, 110, 3, 50, 30));
         assert!(pred.rho < 1.0);
         assert!(pred.max_goodput_bps >= pred.offered_goodput_bps);
+    }
+
+    #[test]
+    fn scan_equals_evaluate_over_the_paper_grid_on_both_budgets() {
+        let grid = ParamGrid::paper();
+        for budget in [LinkBudget::paper_hallway(), LinkBudget::case_study()] {
+            let p = Predictor {
+                budget,
+                ..Predictor::paper()
+            };
+            let mut configs = grid.iter();
+            let flow: ControlFlow<()> = p.scan(&grid, |config, predicted| {
+                let expected = configs.next().expect("scan visits no more than the grid");
+                assert_eq!(*config, expected);
+                // Debug formatting tells −0.0 from 0.0 and prints NaN, so
+                // this is bit identity, not float equality.
+                assert_eq!(
+                    format!("{predicted:?}"),
+                    format!("{:?}", p.evaluate(config))
+                );
+                ControlFlow::Continue(())
+            });
+            assert_eq!(flow, ControlFlow::Continue(()));
+            assert!(configs.next().is_none(), "scan visits the whole grid");
+        }
+    }
+
+    #[test]
+    fn scan_stops_at_the_first_break() {
+        let grid = ParamGrid::paper();
+        let p = Predictor::paper();
+        let mut visited = 0usize;
+        let flow = p.scan(&grid, |config, _| {
+            visited += 1;
+            if visited == 1_000 {
+                ControlFlow::Break(*config)
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, ControlFlow::Break(grid.config_at(999)));
+        assert_eq!(visited, 1_000);
+        // An empty axis visits nothing.
+        let empty = ParamGrid {
+            payloads: vec![],
+            ..ParamGrid::paper()
+        };
+        let flow: ControlFlow<()> = p.scan(&empty, |_, _| panic!("nothing to visit"));
+        assert_eq!(flow, ControlFlow::Continue(()));
     }
 
     #[test]

@@ -556,13 +556,26 @@ mod tests {
             ..Campaign::new(Scale::Quick)
         }
         .with_engine(EngineMode::Analytic);
+        // The memo holds one link stage per (d, Ptx, NmaxTries, Dretry, lD).
+        let link_tuples: std::collections::HashSet<_> = grid
+            .iter()
+            .map(|c| {
+                (
+                    c.distance.meters().to_bits(),
+                    c.power,
+                    c.max_tries,
+                    c.retry_delay,
+                    c.payload,
+                )
+            })
+            .collect();
         let cold = campaign.run_grid(&grid);
-        assert_eq!(campaign.analytic.len(), grid.len());
+        assert_eq!(campaign.analytic.len(), link_tuples.len());
         // The second sweep is answered from the memo table — and must be
         // indistinguishable from recomputation.
         let warm = campaign.run_grid(&grid);
         assert_eq!(cold, warm);
-        assert_eq!(campaign.analytic.len(), grid.len());
+        assert_eq!(campaign.analytic.len(), link_tuples.len());
     }
 
     #[test]

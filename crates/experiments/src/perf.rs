@@ -3,7 +3,8 @@
 //! Times [`Campaign::run_streamed`] over the 32-configuration
 //! `Scale::Bench` grid of [`bench_grid`] at several worker-thread counts
 //! and under every engine, plus the warm analytic prediction, multi-link
-//! scenarios and the sparse-medium density ladder. Every row goes through
+//! scenarios, the sparse-medium density ladder and cold serve `tune`
+//! scans. Every row goes through
 //! one timing loop: warm up, size a batch from one calibration call, keep
 //! the fastest of `reps` batches. The JSON form of [`BenchReport`] is the
 //! repository's machine-readable perf trajectory (`BENCH_campaign.json`).
@@ -16,6 +17,8 @@ use wsn_link_sim::network::{NetOptions, NetworkSimulation};
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
 use wsn_params::scenario::Scenario;
+use wsn_serve::engine::Engine;
+use wsn_serve::protocol::parse_request;
 
 use wsn_sim_engine::mode::EngineMode;
 
@@ -83,6 +86,23 @@ pub struct DensityThroughput {
     pub iters: usize,
 }
 
+/// Cold latency of one serve `tune` scan: a fresh engine per call, so
+/// neither the response cache nor the analytic memo holds anything.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TuneLatency {
+    /// Engine mode of the request (`"golden"` ranks predictions,
+    /// `"analytic"` ranks closed-form evaluations).
+    pub mode: String,
+    /// The scanned slice: `"35m"` (8,064 configurations) or `"grid"`
+    /// (all 48,384).
+    pub scope: String,
+    /// Milliseconds per cold `tune`, engine construction included (best
+    /// batch).
+    pub cold_ms: f64,
+    /// Cold `tune` calls per timed batch.
+    pub iters: usize,
+}
+
 /// One `repro bench` measurement: the workload identity plus per-thread
 /// throughput numbers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -106,6 +126,8 @@ pub struct BenchReport {
     /// Sparse-medium density ladder (grid placement, −85 dBm pruning):
     /// throughput per `(engine, link count)`.
     pub density: Vec<DensityThroughput>,
+    /// Cold serve `tune` latency per `(engine, scope)`.
+    pub tune: Vec<TuneLatency>,
 }
 
 impl BenchReport {
@@ -142,8 +164,41 @@ impl BenchReport {
                 d.mode, d.links, d.placement, d.runs_per_sec, d.iters, d.elapsed_s,
             ));
         }
+        for t in &self.tune {
+            out.push_str(&format!(
+                "  {:<8} tune ({:>4}, cold): {:>8.2} ms  ({} iters)\n",
+                t.mode, t.scope, t.cold_ms, t.iters,
+            ));
+        }
         out
     }
+}
+
+/// Measures one cold serve `tune` (energy objective) per engine mode at
+/// 35 m and over the whole paper grid. Each call builds a fresh
+/// [`Engine`], so every call scans from scratch.
+pub fn tune_latency(reps: usize, min_batch_s: f64) -> Vec<TuneLatency> {
+    let mut out = Vec::with_capacity(4);
+    for engine in [EngineMode::Golden, EngineMode::Analytic] {
+        for (scope, distance) in [("35m", r#","distance_m":35.0"#), ("grid", "")] {
+            let line = format!(
+                r#"{{"op":"tune","objective":"energy","engine":"{}"{distance}}}"#,
+                engine.name()
+            );
+            let body = parse_request(&line).expect("a valid tune request").body;
+            let (iters, best) = best_batch(reps, min_batch_s, 1, || {
+                let answer = Engine::new(1).execute(&body).expect("tune answers");
+                std::hint::black_box(answer.body.len());
+            });
+            out.push(TuneLatency {
+                mode: engine.name().to_string(),
+                scope: scope.to_string(),
+                cold_ms: best * 1e3 / iters as f64,
+                iters,
+            });
+        }
+    }
+    out
 }
 
 /// Measures multi-link network throughput at each of `link_counts`:
@@ -276,6 +331,7 @@ pub fn campaign_throughput(thread_counts: &[usize], reps: usize, min_batch_s: f6
         analytic_predict_ns: analytic_predict_latency_ns(reps, min_batch_s),
         scenarios: scenario_throughput(&[2, 8], reps, min_batch_s),
         density: density_throughput(&[16, 64, 256], reps, min_batch_s),
+        tune: tune_latency(reps, min_batch_s),
     }
 }
 
@@ -353,11 +409,28 @@ mod tests {
         assert_eq!(report.density[5].links, 256);
         assert!(report.density.iter().all(|d| d.runs_per_sec > 0.0));
         assert!(report.density.iter().all(|d| d.placement == "grid-25m"));
+        // Cold tune: golden then analytic, 35 m then the whole grid.
+        let tune: Vec<(&str, &str)> = report
+            .tune
+            .iter()
+            .map(|t| (t.mode.as_str(), t.scope.as_str()))
+            .collect();
+        assert_eq!(
+            tune,
+            [
+                ("golden", "35m"),
+                ("golden", "grid"),
+                ("analytic", "35m"),
+                ("analytic", "grid")
+            ]
+        );
+        assert!(report.tune.iter().all(|t| t.cold_ms > 0.0));
         let text = report.render();
         assert!(text.contains("campaign_throughput"));
         assert!(text.contains("configs/sec"));
         assert!(text.contains("-link scenario"));
         assert!(text.contains("grid-25m"));
+        assert!(text.contains("tune ( 35m, cold)"));
         let json = serde_json::to_string(&report).unwrap();
         let back: BenchReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);

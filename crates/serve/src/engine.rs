@@ -18,6 +18,7 @@
 //! step that could reorder fields or reformat floats. Error results and
 //! live ops (`stats`, `shutdown`) are never cached.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,9 +94,12 @@ pub struct Engine {
 }
 
 /// How many candidate evaluations a grid scan runs between deadline
-/// checks. Analytic memo hits cost ~100 ns and golden predictions ~1 µs,
-/// so this stride bounds the overshoot past an expired deadline to well
-/// under a millisecond while keeping `Instant::now` off the hot path.
+/// checks. A golden prediction inside
+/// [`Predictor::scan`](wsn_models::predict::Predictor::scan) costs
+/// ~20 ns, an analytic link-stage hit ~300 ns and an analytic miss
+/// ~15 µs, so this stride bounds the overshoot past an expired deadline to
+/// about a millisecond at worst while keeping `Instant::now` off the hot
+/// path.
 const DEADLINE_STRIDE: u64 = 64;
 
 /// Everything a [`Profile`] pins: the engine runner on its channel and
@@ -195,9 +199,9 @@ struct Evaluator<'a> {
 }
 
 impl Evaluator<'_> {
-    /// Counts and scores one candidate; errs when the deadline has passed
-    /// (checked every [`DEADLINE_STRIDE`] candidates).
-    fn next(&mut self, config: StackConfig) -> Result<Score, ExecError> {
+    /// Counts one candidate; errs when the deadline has passed (checked
+    /// every [`DEADLINE_STRIDE`] candidates).
+    fn count(&mut self) -> Result<(), ExecError> {
         self.scanned += 1;
         if self.scanned.is_multiple_of(DEADLINE_STRIDE) {
             if let Some(deadline) = self.deadline {
@@ -206,7 +210,48 @@ impl Evaluator<'_> {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Counts and scores one candidate.
+    fn next(&mut self, config: StackConfig) -> Result<Score, ExecError> {
+        self.count()?;
         Ok(self.score(config))
+    }
+
+    /// Counts and scores every configuration of `grid` in grid order,
+    /// handing each to `visit`. The predictor scores through
+    /// [`Predictor::scan`](wsn_models::predict::Predictor::scan), which
+    /// shares each link tuple's terms across its `Tpkt × Qmax`
+    /// configurations; the engines score one configuration at a time.
+    fn scan(
+        &mut self,
+        grid: &ParamGrid,
+        mut visit: impl FnMut(StackConfig, &Score),
+    ) -> Result<(), ExecError> {
+        match self.scorer {
+            Scorer::Predictor => {
+                let predictor = &self.ctx.optimizer.predictor;
+                let flow = predictor.scan(grid, |config, predicted| {
+                    if let Err(e) = self.count() {
+                        return ControlFlow::Break(e);
+                    }
+                    visit(*config, &Score::Predicted(*predicted));
+                    ControlFlow::Continue(())
+                });
+                match flow {
+                    ControlFlow::Break(e) => Err(e),
+                    ControlFlow::Continue(()) => Ok(()),
+                }
+            }
+            Scorer::Engine(_) => {
+                for config in grid.iter() {
+                    let score = self.next(config)?;
+                    visit(config, &score);
+                }
+                Ok(())
+            }
+        }
     }
 
     /// Scores `config` without counting it against the deadline — for
@@ -782,13 +827,13 @@ impl Engine {
         // `min_by` in `Optimizer::epsilon_constraint` exactly — a cached
         // answer from either and a fresh one agree byte-for-byte.
         let mut best: Option<(StackConfig, f64)> = None;
-        for config in grid.iter() {
-            if let Some(value) = eval.next(config)?.feasible(objective, constraints) {
+        eval.scan(&grid, |config, score| {
+            if let Some(value) = score.feasible(objective, constraints) {
                 if best.is_none_or(|(_, b)| value < b) {
                     best = Some((config, value));
                 }
             }
-        }
+        })?;
         let (config, _) = best.ok_or_else(|| {
             ExecError::bad_request("no feasible configuration on the grid".to_string())
         })?;
@@ -842,17 +887,19 @@ impl Engine {
                 distances_m: vec![d],
                 ..grid.clone()
             };
+            // One flat buffer of `k` values per candidate, row after row.
+            let k = metrics.len();
             let mut configs = Vec::with_capacity(slice.len());
-            let mut values: Vec<Vec<f64>> = Vec::with_capacity(slice.len());
-            for config in slice.iter() {
-                let score = eval.next(config)?;
+            let mut values = Vec::with_capacity(slice.len() * k);
+            eval.scan(&slice, |config, score| {
                 configs.push(config);
-                values.push(metrics.iter().map(|m| score.value(*m)).collect());
-            }
-            let mut front = pareto_front_indices(&values);
+                values.extend(metrics.iter().map(|m| score.value(*m)));
+            })?;
+            let row = |i: usize| &values[i * k..(i + 1) * k];
+            let mut front = pareto_front_indices(&values, k);
             front.sort_by(|&a, &b| {
-                values[a][0]
-                    .partial_cmp(&values[b][0])
+                row(a)[0]
+                    .partial_cmp(&row(b)[0])
                     .expect("front values are finite")
             });
             let members: Vec<FrontMember> = front
@@ -861,17 +908,14 @@ impl Engine {
                     config: configs[i],
                     values: metrics
                         .iter()
-                        .zip(&values[i])
+                        .zip(row(i))
                         .map(|(m, v)| display_value(*m, *v))
                         .collect(),
                 })
                 .collect();
-            let knee = if metrics.len() == 2 {
-                let xy: Vec<(f64, f64)> = front
-                    .iter()
-                    .map(|&i| (values[i][0], values[i][1]))
-                    .collect();
-                knee_of_front(&xy).map(|k| members[k].clone())
+            let knee = if k == 2 {
+                let xy: Vec<(f64, f64)> = front.iter().map(|&i| (row(i)[0], row(i)[1])).collect();
+                knee_of_front(&xy).map(|i| members[i].clone())
             } else {
                 None
             };
@@ -1449,6 +1493,19 @@ mod tests {
             let hit = engine.execute_with_deadline(&req, Some(past)).unwrap();
             assert!(hit.cached, "{line}");
         }
+    }
+
+    #[test]
+    fn predictor_tune_past_its_deadline_stops_after_one_stride() {
+        let engine = Engine::new(4);
+        let past = Instant::now() - std::time::Duration::from_millis(10);
+        let req = body(r#"{"op":"tune","objective":"energy"}"#);
+        let err = engine.execute_with_deadline(&req, Some(past)).unwrap_err();
+        assert_eq!(err.code, ErrCode::Deadline);
+        assert_eq!(
+            err.message,
+            format!("deadline expired after {DEADLINE_STRIDE} candidate evaluations")
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use wsn_link_sim::catalog::{all_timelines, build_scenario, build_timeline};
 use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::optimize::Metric;
 use wsn_params::config::StackConfig;
-use wsn_params::timeline::{ScenarioTimeline, TopologyEvent};
+use wsn_params::timeline::{ScenarioTimeline, TopologyAction, TopologyEvent};
 use wsn_radio::channel::ChannelConfig;
 use wsn_sim_engine::mode::EngineMode;
 
@@ -501,14 +501,30 @@ fn parse_packets(value: Option<&Value>) -> Result<u64, String> {
 /// An inline event's `t_s` must be a finite number (a `null` would read
 /// as NaN), with the text the timeline check gives it at run time.
 fn parse_timeline(value: &Value) -> Result<Option<TimelineSpec>, String> {
-    let inline =
-        |timeline: ScenarioTimeline| match timeline.events().iter().find(|e| !e.t_s.is_finite()) {
-            Some(e) => Err(format!(
+    // A `null` number parses to NaN, so every float an event carries is
+    // checked here: a NaN coordinate would otherwise run as a 0.1 m link.
+    let inline = |timeline: ScenarioTimeline| {
+        if let Some(e) = timeline.events().iter().find(|e| !e.t_s.is_finite()) {
+            return Err(format!(
                 "invalid timeline: event id {} has invalid timestamp {}",
                 e.id, e.t_s
-            )),
-            None => Ok(Some(TimelineSpec::Inline(timeline))),
-        };
+            ));
+        }
+        if let Some(e) = timeline.events().iter().find(|e| match e.action {
+            TopologyAction::Move { sender, receiver } => {
+                ![sender.x_m, sender.y_m, receiver.x_m, receiver.y_m]
+                    .iter()
+                    .all(|c| c.is_finite())
+            }
+            _ => false,
+        }) {
+            return Err(format!(
+                "invalid timeline: event id {} moves to a non-finite position",
+                e.id
+            ));
+        }
+        Ok(Some(TimelineSpec::Inline(timeline)))
+    };
     match value {
         Value::Null => Ok(None),
         Value::Str(id) => Ok(Some(TimelineSpec::Id(id.clone()))),
@@ -1749,7 +1765,7 @@ mod tests {
             id: 0,
             t_s: 1.0,
             link: 99,
-            action: wsn_params::timeline::TopologyAction::Leave,
+            action: TopologyAction::Leave,
         }]);
         let err = TimelineSpec::Inline(out_of_range)
             .resolve("parallel-4")

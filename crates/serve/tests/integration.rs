@@ -25,9 +25,20 @@ fn start(
     (addr, std::thread::spawn(move || server.run()))
 }
 
+/// A client connection with Nagle's algorithm off, so each request line
+/// leaves in one segment as soon as it is written. With Nagle on, the
+/// tail of a `writeln!` can sit in the client's send buffer until the
+/// previous segment is ACKed, and a test that orders answers would be
+/// measuring the client's TCP stack.
+fn connect(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+}
+
 /// One request → one response over a fresh connection.
 fn roundtrip(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     request_on(&mut stream, line)
 }
 
@@ -72,7 +83,7 @@ fn ten_concurrent_clients_get_correctly_routed_responses() {
     let workers: Vec<_> = (0..CLIENTS)
         .map(|c| {
             std::thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).expect("connect");
+                let mut stream = connect(addr);
                 // Pipeline everything, then read all responses: exercises
                 // out-of-order execution with in-order-agnostic routing.
                 for r in 0..REQUESTS {
@@ -199,7 +210,7 @@ fn malformed_requests_draw_errors_but_never_kill_the_connection() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     // Every rejection carries its machine-readable `code` — clients
     // dispatch on that, not on message prose.
@@ -246,7 +257,7 @@ fn oversized_line_closes_that_connection_but_not_the_server() {
         ..ServerConfig::default()
     });
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     // Just over the 1 MiB line cap, with no newline in sight.
     let garbage = vec![b'x'; (1 << 20) + 8192];
     stream.write_all(&garbage).expect("send garbage");
@@ -283,7 +294,7 @@ fn queued_past_its_deadline_draws_a_deadline_error() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     writeln!(
         stream,
@@ -321,7 +332,7 @@ fn expired_request_counts_as_deadline_exceeded_without_contaminating_exec_times(
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     writeln!(
         stream,
@@ -347,7 +358,8 @@ fn expired_request_counts_as_deadline_exceeded_without_contaminating_exec_times(
     assert!(stats.contains("\"exec_us\":{\"count\":1,"), "{stats}");
     // … and its p50 is the slow simulation, not a near-zero corpse.
     let p50: u64 = {
-        let tail = &stats[stats.find("\"exec_us\":{\"count\":1,\"p50\":").unwrap() + 28..];
+        let needle = "\"exec_us\":{\"count\":1,\"p50\":";
+        let tail = &stats[stats.find(needle).unwrap() + needle.len()..];
         tail[..tail.find(',').unwrap()].parse().unwrap()
     };
     assert!(p50 > 1_000, "exec p50 {p50} µs looks contaminated: {stats}");
@@ -466,7 +478,7 @@ fn pending_requests_are_answered_before_shutdown_completes() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     // A slow queued job, a cheap predict (answered on the front end, so
     // it may overtake the slow one), then shutdown — all three answered,
@@ -510,7 +522,7 @@ fn every_envelope_leads_with_proto_1_and_other_protos_are_refused() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     // Explicit proto 1 is accepted; the response envelope leads with the
     // version so clients can dispatch before reading anything else. The
@@ -547,7 +559,7 @@ fn flooding_a_tiny_queue_draws_overloaded_codes_not_hangs() {
         queue_depth: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
 
     writeln!(
         stream,
@@ -663,16 +675,18 @@ fn tight_deadline_aborts_a_full_grid_tune_mid_scan() {
         ..ServerConfig::default()
     });
 
-    // 48,384 golden predictions cannot finish inside 1 ms: the worker
-    // must abandon the scan cooperatively and answer with the deadline
-    // code instead of burning the thread to completion. On a loaded host
-    // the 1 ms budget can also run out before a worker pops the job; that
+    // 48,384 analytic evaluations cannot finish inside 1 ms (a cold scan
+    // takes tens of milliseconds, a warm one over ten): the worker must
+    // abandon the scan cooperatively and answer with the deadline code
+    // instead of burning the thread to completion. The golden predictor
+    // scan is too quick to be cut off reliably. On a loaded host the 1 ms
+    // budget can also run out before a worker pops the job; that
     // queue-expiry form of `deadline` is only a reason to ask again.
     let mut mid_scan = None;
     for _ in 0..5 {
         let response = roundtrip(
             addr,
-            r#"{"id":"hurry","op":"tune","objective":"energy","deadline_ms":1}"#,
+            r#"{"id":"hurry","op":"tune","objective":"energy","engine":"analytic","deadline_ms":1}"#,
         );
         assert!(response.contains("\"ok\":false"), "{response}");
         assert!(response.contains("\"code\":\"deadline\""), "{response}");
@@ -689,7 +703,7 @@ fn tight_deadline_aborts_a_full_grid_tune_mid_scan() {
     // computes and answers.
     let response = roundtrip(
         addr,
-        r#"{"id":"patient","op":"tune","objective":"energy","deadline_ms":60000}"#,
+        r#"{"id":"patient","op":"tune","objective":"energy","engine":"analytic","deadline_ms":60000}"#,
     );
     assert!(response.contains("\"ok\":true"), "{response}");
     assert!(response.contains("\"cached\":false"), "{response}");
@@ -778,7 +792,7 @@ fn cache_hit_overtakes_a_slow_queued_miss() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let warm = request_on(
         &mut stream,
         r#"{"id":"warm","op":"predict","config":{"distance_m":30.0}}"#,
@@ -813,7 +827,7 @@ fn inline_hits_and_queued_misses_each_count_exactly_once() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     // Predicts miss inline on the front end; simulations longer than the
     // inline bound miss on the worker.
     let inline_miss = |m: usize| {
@@ -898,7 +912,7 @@ fn expired_request_for_a_cached_key_draws_deadline_and_no_hit() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let first = request_on(&mut stream, r#"{"id":1,"op":"predict"}"#);
     assert!(first.contains("\"cached\":false"), "{first}");
 
@@ -925,7 +939,7 @@ fn each_inline_hit_writes_one_access_log_record_with_its_trace() {
         access_log: Some(path.clone()),
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let miss = request_on(&mut stream, r#"{"id":"m","op":"predict"}"#);
     assert!(miss.contains("\"cached\":false"), "{miss}");
     let hits: Vec<String> = (0..2)
@@ -974,7 +988,7 @@ fn shutdown_disconnects_a_client_that_keeps_sending_hits() {
         ..ServerConfig::default()
     });
     let line = r#"{"id":"h","op":"predict","config":{"distance_m":30.0}}"#;
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
@@ -1059,8 +1073,7 @@ fn long_line_is_answered_whole(chunk: usize) {
         ..ServerConfig::default()
     });
     let (line, id) = long_id_line(wsn_serve::protocol::MAX_LINE_BYTES - 16);
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
+    let mut stream = connect(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
@@ -1114,7 +1127,7 @@ fn pipelined_burst_in_one_write_is_answered_in_order() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     stream
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
@@ -1171,7 +1184,7 @@ fn inline_miss_writes_one_access_log_record_with_zero_queue_wait() {
         access_log: Some(path.clone()),
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let miss = request_on(
         &mut stream,
         r#"{"id":"m","op":"simulate","packets":60,"engine":"fast"}"#,
@@ -1213,7 +1226,7 @@ fn simulations_up_to_the_inline_bound_skip_the_queue() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     let simulate = |packets: u64, engine: &str| {
         format!(r#"{{"id":1,"op":"simulate","packets":{packets},"engine":"{engine}"}}"#)
     };
@@ -1246,12 +1259,12 @@ fn cheap_line_after_shutdown_is_refused() {
         threads: 2,
         ..ServerConfig::default()
     });
-    let mut late = TcpStream::connect(addr).expect("connect");
+    let mut late = connect(addr);
     late.set_read_timeout(Some(Duration::from_secs(60)))
         .expect("read timeout");
     let warm = request_on(&mut late, r#"{"id":"warm","op":"predict"}"#);
     assert!(warm.contains("\"ok\":true"), "{warm}");
-    let mut slow = TcpStream::connect(addr).expect("connect");
+    let mut slow = connect(addr);
     writeln!(
         slow,
         r#"{{"id":"slow","op":"simulate","packets":50000,"config":{{"distance_m":35.0,"power_level":3}}}}"#
@@ -1294,7 +1307,7 @@ fn cheap_miss_overtakes_a_slow_queued_miss() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut stream = connect(addr);
     writeln!(
         stream,
         r#"{{"id":"slow","op":"simulate","packets":50000,"config":{{"distance_m":35.0,"power_level":3}}}}"#
@@ -1335,10 +1348,11 @@ fn half_closed_client_still_gets_every_queued_answer() {
         threads: 1,
         ..ServerConfig::default()
     });
-    let stream = TcpStream::connect(addr).expect("connect");
+    let stream = connect(addr);
     (&stream)
         .write_all(
-            b"{\"id\":\"slow\",\"op\":\"simulate\",\"packets\":5000}\n\
+            b"{\"id\":\"slow\",\"op\":\"simulate\",\"packets\":50000,\
+              \"config\":{\"distance_m\":35.0,\"power_level\":3}}\n\
               {\"id\":\"cheap\",\"op\":\"predict\"}\n",
         )
         .expect("send");
@@ -1358,7 +1372,7 @@ fn half_closed_client_still_gets_every_queued_answer() {
 #[test]
 fn final_line_without_newline_is_answered_at_eof() {
     let (addr, handle) = start(ServerConfig::default());
-    let stream = TcpStream::connect(addr).expect("connect");
+    let stream = connect(addr);
     (&stream)
         .write_all(
             br#"{"id":"a","op":"predict"}
