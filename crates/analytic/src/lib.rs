@@ -53,7 +53,8 @@
 //! the packet count enter only in the closed-form queue stage. The paper
 //! grid's 48,384 configurations therefore share 3,456 link stages, and
 //! [`table::AnalyticTable`] memoizes exactly those: a hit is one lookup
-//! plus the queue stage.
+//! plus the queue stage, and a grid scan
+//! ([`runner::AnalyticScan`]) asks it once per link tuple.
 //!
 //! ## Determinism
 //!
@@ -69,7 +70,7 @@ pub mod math;
 pub mod runner;
 pub mod table;
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -79,18 +80,17 @@ use wsn_link_sim::traffic::TrafficModel;
 use wsn_mac::timing;
 use wsn_models::queueing::{finite_queue_outcome, QueueOutcome, ServiceMoments};
 use wsn_params::config::StackConfig;
-use wsn_radio::budget::{LinkBudget, LinkBudgetTable};
+use wsn_radio::budget::LinkBudget;
 use wsn_radio::channel::ChannelConfig;
 use wsn_radio::energy::EnergyMeter;
 use wsn_radio::per::PerModel;
 use wsn_sim_engine::time::SimDuration;
 
 use crate::math::MixtureComponent;
-use crate::table::AnalyticTable;
 
 /// Convenient glob-import of the analytic engine.
 pub mod prelude {
-    pub use crate::runner::{EngineRunner, RunOutcome};
+    pub use crate::runner::{AnalyticScan, EngineRunner, RunOutcome};
     pub use crate::table::AnalyticTable;
     pub use crate::{evaluate, AnalyticLinkSimulation, AnalyticOutcome, AnalyticReport};
 }
@@ -166,7 +166,9 @@ impl AnalyticOutcome {
 }
 
 /// A configured, runnable analytic evaluation of one link — the
-/// closed-form sibling of `FastLinkSimulation`, same construction surface.
+/// closed-form sibling of `FastLinkSimulation`. It computes its link
+/// budget and link stage afresh; an
+/// [`EngineRunner`](runner::EngineRunner) memoizes both.
 ///
 /// ```
 /// use wsn_analytic::AnalyticLinkSimulation;
@@ -185,61 +187,21 @@ impl AnalyticOutcome {
 pub struct AnalyticLinkSimulation {
     config: StackConfig,
     options: SimOptions,
-    budgets: Option<Arc<LinkBudgetTable>>,
-    cache: Option<Arc<AnalyticTable>>,
 }
 
 impl AnalyticLinkSimulation {
     /// Creates an evaluation of `config` under `options`.
     pub fn new(config: StackConfig, options: SimOptions) -> Self {
-        AnalyticLinkSimulation {
-            config,
-            options,
-            budgets: None,
-            cache: None,
-        }
-    }
-
-    /// Attaches a shared link-budget memo (used when its channel matches
-    /// the options' channel, exactly like the sampling engines).
-    pub fn with_budget_table(mut self, budgets: Arc<LinkBudgetTable>) -> Self {
-        self.budgets = Some(budgets);
-        self
-    }
-
-    /// Attaches a shared link-stage memo: evaluations that share a link
-    /// tuple under the table's channel pay only for the queue stage (used
-    /// when its channel matches the options' channel).
-    pub fn with_cache(mut self, cache: Arc<AnalyticTable>) -> Self {
-        self.cache = Some(cache);
-        self
+        AnalyticLinkSimulation { config, options }
     }
 
     /// Runs the evaluation.
-    ///
-    /// The link budget is resolved lazily: a memo hit never pays for a
-    /// budget-table lookup (the budget is baked into the memoized link
-    /// stage), which keeps the warm serve/campaign path to one hash, one
-    /// shared-lock read and the closed-form queue stage.
     pub fn run(&self) -> AnalyticOutcome {
-        let budget = || match &self.budgets {
-            Some(table) if *table.config() == self.options.channel => {
-                table.budget(self.config.power, self.config.distance)
-            }
-            _ => LinkBudget::compute(
-                &self.options.channel,
-                self.config.power,
-                self.config.distance,
-            ),
-        };
-        let (metrics, report) = match &self.cache {
-            Some(cache) if *cache.config() == self.options.channel => {
-                cache.lookup_or_eval(&self.config, &self.options, budget)
-            }
-            _ => evaluate(&self.config, &self.options, budget()),
-        };
+        let (config, channel) = (self.config, &self.options.channel);
+        let budget = LinkBudget::compute(channel, config.power, config.distance);
+        let (metrics, report) = evaluate(&config, &self.options, budget);
         AnalyticOutcome {
-            config: self.config,
+            config,
             metrics,
             report,
         }
@@ -339,7 +301,7 @@ fn count(expected: f64, limit: u64) -> u64 {
 ///
 /// `budget` must describe `config`'s operating point under
 /// `options.channel` (use [`LinkBudget::compute`] or a
-/// [`LinkBudgetTable`]). See the crate docs for the model's validity
+/// [`LinkBudgetTable`](wsn_radio::budget::LinkBudgetTable)). See the crate docs for the model's validity
 /// envelope; `options.seed`, `options.horizon`, `options.record_packets`
 /// and any motion profile are ignored.
 pub fn evaluate(
@@ -358,7 +320,7 @@ pub fn evaluate(
 /// only the link — distance and power (through the budget), `NmaxTries`,
 /// `Dretry`, the payload and the channel — so it is shared by every
 /// `Tpkt`, `Qmax`, traffic model and packet count, and it is what
-/// [`AnalyticTable`] memoizes. Build one with [`link_stage`]; finish it
+/// [`AnalyticTable`](table::AnalyticTable) memoizes. Build one with [`link_stage`]; finish it
 /// with [`queue_stage`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkStage {
@@ -406,7 +368,7 @@ struct DeliveredService {
 /// Computes the link stage of `config` under `channel`.
 ///
 /// `budget` must describe `config`'s operating point under `channel` (use
-/// [`LinkBudget::compute`] or a [`LinkBudgetTable`]). `Tpkt` and `Qmax`
+/// [`LinkBudget::compute`] or a [`LinkBudgetTable`](wsn_radio::budget::LinkBudgetTable)). `Tpkt` and `Qmax`
 /// are not read.
 pub fn link_stage(config: &StackConfig, channel: &ChannelConfig, budget: LinkBudget) -> LinkStage {
     let n = config.max_tries.get() as usize;
@@ -816,6 +778,9 @@ pub fn queue_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::EngineRunner;
+    use crate::table::AnalyticTable;
+    use std::sync::Arc;
     use wsn_link_sim::fast::FastLinkSimulation;
 
     fn cfg(power: u8, dist: f64) -> StackConfig {
@@ -931,28 +896,28 @@ mod tests {
         assert!(out.metrics().conserves_packets());
     }
 
+    /// A runner on `options`' channel and traffic sharing `cache`.
+    fn runner(options: &SimOptions, cache: &Arc<AnalyticTable>) -> EngineRunner {
+        EngineRunner::with_analytic(options.channel, options.traffic, Arc::clone(cache))
+    }
+
     #[test]
     fn budget_table_run_matches_direct_run() {
+        // A runner draws the budget from its table; a bare run computes it.
         let options = SimOptions::quick(300);
-        let table = Arc::new(LinkBudgetTable::new(options.channel));
         let direct = run(cfg(23, 35.0), options.clone());
-        let via_table = AnalyticLinkSimulation::new(cfg(23, 35.0), options)
-            .with_budget_table(table)
-            .run();
-        assert_eq!(direct.metrics(), via_table.metrics());
+        let cache = Arc::new(AnalyticTable::new(options.channel));
+        let via_table = runner(&options, &cache).analytic(cfg(23, 35.0), 300);
+        assert_eq!(direct, via_table);
     }
 
     #[test]
     fn cache_hit_is_bit_identical_to_recomputation() {
         let options = SimOptions::quick(300);
         let cache = Arc::new(AnalyticTable::new(options.channel));
-        let cold = AnalyticLinkSimulation::new(cfg(23, 35.0), options.clone())
-            .with_cache(Arc::clone(&cache))
-            .run();
+        let cold = runner(&options, &cache).analytic(cfg(23, 35.0), 300);
         assert_eq!(cache.len(), 1);
-        let warm = AnalyticLinkSimulation::new(cfg(23, 35.0), options.clone())
-            .with_cache(Arc::clone(&cache))
-            .run();
+        let warm = runner(&options, &cache).analytic(cfg(23, 35.0), 300);
         assert_eq!(cache.len(), 1, "second run must be a lookup");
         assert_eq!(cold.metrics(), warm.metrics());
         let fresh = run(cfg(23, 35.0), options);

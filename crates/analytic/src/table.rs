@@ -8,14 +8,14 @@
 //! one lookup plus the queue stage, bit-identical to a recomputation. The
 //! paper grid's 48,384 configurations share 3,456 link stages (576 per
 //! distance), so a whole-grid scan pays for each link stage once and
-//! every other configuration, traffic model or packet count is a hit.
+//! every other configuration, traffic model or packet count is a hit. A
+//! grid scan ([`AnalyticScan`](crate::runner::AnalyticScan)) asks the
+//! table once per link tuple, not once per configuration.
 //!
 //! Like [`LinkBudgetTable`](wsn_radio::budget::LinkBudgetTable), the table
 //! is pinned to one [`ChannelConfig`]; callers must check
 //! [`AnalyticTable::config`] before trusting a lookup for their channel
-//! ([`AnalyticLinkSimulation::run`](crate::AnalyticLinkSimulation::run),
-//! which every [`EngineRunner`](crate::runner::EngineRunner) goes through,
-//! does).
+//! (an [`EngineRunner`](crate::runner::EngineRunner) does).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -111,21 +111,12 @@ impl AnalyticTable {
         self.len() == 0
     }
 
-    /// Evaluates `config` under `options` from its memoized link stage,
-    /// computing and storing the link stage on first sight.
+    /// The link stage of `config`'s link tuple: memoized, or computed
+    /// from `budget()` and stored on first sight.
     ///
-    /// `budget` is only called on a miss — a warm lookup costs one hash,
-    /// one shared-lock read and the closed-form [`queue_stage`], never a
-    /// link-budget computation. The caller is responsible for two
-    /// contracts: `options.channel` matches [`AnalyticTable::config`], and
-    /// the closure's budget describes `config`'s operating point under that
-    /// channel.
-    pub fn lookup_or_eval(
-        &self,
-        config: &StackConfig,
-        options: &SimOptions,
-        budget: impl FnOnce() -> LinkBudget,
-    ) -> (LinkMetrics, AnalyticReport) {
+    /// `budget` is only called on a miss, and must describe `config`'s
+    /// operating point under [`AnalyticTable::config`].
+    pub fn stage(&self, config: &StackConfig, budget: impl FnOnce() -> LinkBudget) -> LinkStage {
         let key = key_of(config);
         let hit = self
             .entries
@@ -133,7 +124,7 @@ impl AnalyticTable {
             .expect("analytic table poisoned")
             .get(&key)
             .copied();
-        let link = hit.unwrap_or_else(|| {
+        hit.unwrap_or_else(|| {
             let link = link_stage(config, &self.config, budget());
             let mut entries = self.entries.write().expect("analytic table poisoned");
             if entries.len() >= MAX_ENTRIES {
@@ -141,8 +132,19 @@ impl AnalyticTable {
             }
             entries.insert(key, link);
             link
-        });
-        queue_stage(config, options, &link)
+        })
+    }
+
+    /// Evaluates `config` under `options`, whose channel must be the
+    /// table's: [`stage`](Self::stage), then the closed-form
+    /// [`queue_stage`]. A warm lookup never computes a link budget.
+    pub fn lookup_or_eval(
+        &self,
+        config: &StackConfig,
+        options: &SimOptions,
+        budget: impl FnOnce() -> LinkBudget,
+    ) -> (LinkMetrics, AnalyticReport) {
+        queue_stage(config, options, &self.stage(config, budget))
     }
 }
 

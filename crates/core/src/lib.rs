@@ -88,7 +88,8 @@ pub mod prelude {
     pub use crate::loss::{mm1k_blocking, LossEstimate, LossModel, RadioLossModel};
     pub use crate::lpl::{LplConfig, LplModel, LplPowerBudget};
     pub use crate::optimize::{
-        dominates, knee_of_front, pareto_front_indices, Evaluation, Metric, Optimizer,
+        dominates, knee, knee_of_front, pareto_front_indices, Evaluation, Front, GridScan, Metric,
+        Optimizer,
     };
     pub use crate::predict::{LinkBudget, Predicted, Predictor};
     pub use crate::queueing::{

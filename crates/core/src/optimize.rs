@@ -5,8 +5,14 @@
 //! parameters and solves instances with the epsilon-constraint method.
 //! Because the experimented grid is finite (8064 configurations per
 //! distance), both the exact Pareto front and epsilon-constrained optima
-//! are computed by exhaustive evaluation with the analytic
-//! [`Predictor`] — the same approach the paper's case study takes.
+//! are computed by exhaustive evaluation — the same approach the paper's
+//! case study takes.
+//!
+//! The selection rules are written once, as provided methods of
+//! [`GridScan`], over any backend that can score a grid: the analytic
+//! [`Predictor`], the closed-form engine of `wsn-analytic`, or a wrapper
+//! that stops a scan at a deadline. [`Optimizer`] runs them on its
+//! predictor.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -43,13 +49,218 @@ impl Metric {
         }
     }
 
-    /// The natural-sense reading (goodput positive again).
-    pub fn display_value(self, p: &Predicted) -> f64 {
+    /// The natural-sense reading of a minimization-sense `value` (goodput
+    /// positive again).
+    pub fn display_value(self, value: f64) -> f64 {
         match self {
-            Metric::Goodput => p.max_goodput_bps,
-            other => other.value(p),
+            Metric::Goodput => -value,
+            _ => value,
         }
     }
+}
+
+/// A backend that scores every configuration of a grid: the one seam the
+/// selection rules see. A scan that always finishes has `Stop =
+/// Infallible`; one that can give up part way (a request deadline) stops
+/// with its own error, which every rule returns as soon as the scan does.
+pub trait GridScan {
+    /// One configuration's score.
+    type Score;
+    /// Why a scan stopped before the end of the grid.
+    type Stop;
+
+    /// `metric` of `score` in minimization sense: goodput is negated so
+    /// that smaller is always better, and an infeasible operating point
+    /// reads `INFINITY` (energy with zero delivery).
+    fn value(score: &Self::Score, metric: Metric) -> f64;
+
+    /// Scores every configuration of `grid`, in [`ParamGrid::iter`]
+    /// order, handing each to `visit` until it breaks.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Self::Stop`](GridScan::Stop) when the scan gives up.
+    fn scan<B>(
+        &self,
+        grid: &ParamGrid,
+        visit: impl FnMut(&StackConfig, &Self::Score) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, Self::Stop>;
+
+    /// The objective value of `score` when every `(metric, max)`
+    /// constraint holds and the value is finite; `None` marks the
+    /// candidate infeasible.
+    fn feasible(
+        score: &Self::Score,
+        objective: Metric,
+        constraints: &[(Metric, f64)],
+    ) -> Option<f64> {
+        let holds = |(m, max): &(Metric, f64)| Self::value(score, *m) <= *max;
+        let value = Self::value(score, objective);
+        (constraints.iter().all(holds) && value.is_finite()).then_some(value)
+    }
+
+    /// The epsilon-constraint method: minimizes `objective` subject to
+    /// `metric ≤ epsilon` for every `(metric, epsilon)` constraint.
+    /// Returns `None` when no grid point is feasible; among equal optima
+    /// the first in grid order wins.
+    fn epsilon_constraint(
+        &self,
+        grid: &ParamGrid,
+        objective: Metric,
+        constraints: &[(Metric, f64)],
+    ) -> Result<Option<StackConfig>, Self::Stop> {
+        let mut best: Option<(StackConfig, f64)> = None;
+        visit_all(self, grid, |config, score| {
+            let value = Self::feasible(score, objective, constraints);
+            if let Some(value) = value.filter(|v| best.is_none_or(|(_, b)| *v < b)) {
+                best = Some((*config, value));
+            }
+        })?;
+        Ok(best.map(|(config, _)| config))
+    }
+
+    /// The paper's case-study formulation (Sec. VIII-B): maximize goodput
+    /// while keeping the energy per bit within `slack` (e.g. 1.1 = 10 %)
+    /// of the best energy achievable anywhere on the grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slack < 1.0`.
+    fn joint_energy_goodput(
+        &self,
+        grid: &ParamGrid,
+        slack: f64,
+    ) -> Result<Option<StackConfig>, Self::Stop> {
+        assert!(slack >= 1.0, "slack must be >= 1.0, got {slack}");
+        let energies = rows(self, grid, &[Metric::Energy])?;
+        let finite = energies.into_iter().filter(|e| e.is_finite());
+        let Some(best_energy) = finite.reduce(f64::min) else {
+            return Ok(None);
+        };
+        let constraint = [(Metric::Energy, best_energy * slack)];
+        self.epsilon_constraint(grid, Metric::Goodput, &constraint)
+    }
+
+    /// Weighted-sum scalarization: minimizes `Σ wᵢ · norm(Mᵢ)` where each
+    /// metric is min–max normalized over the grid. A standard cross-check
+    /// for the epsilon-constraint method: with positive weights the
+    /// minimizer always lies on the Pareto front.
+    ///
+    /// Returns `None` for an empty grid or when no point has finite
+    /// values on every metric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` is empty or any weight is non-positive.
+    fn weighted_sum(
+        &self,
+        grid: &ParamGrid,
+        weights: &[(Metric, f64)],
+    ) -> Result<Option<StackConfig>, Self::Stop> {
+        assert!(!weights.is_empty(), "need at least one weighted metric");
+        assert!(
+            weights.iter().all(|(_, w)| *w > 0.0 && w.is_finite()),
+            "weights must be positive and finite"
+        );
+        let k = weights.len();
+        let metrics: Vec<Metric> = weights.iter().map(|(m, _)| *m).collect();
+        let values = rows(self, grid, &metrics)?;
+        let finite =
+            (values.chunks_exact(k).enumerate()).filter(|(_, v)| v.iter().all(|x| x.is_finite()));
+        // Min-max bounds per metric over finite points.
+        let mut lo = vec![f64::INFINITY; k];
+        let mut hi = vec![f64::NEG_INFINITY; k];
+        for (_, v) in finite.clone() {
+            for i in 0..k {
+                lo[i] = lo[i].min(v[i]);
+                hi[i] = hi[i].max(v[i]);
+            }
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (idx, v) in finite {
+            let score: f64 = (0..k)
+                .map(|i| {
+                    let span = hi[i] - lo[i];
+                    let norm = if span > 0.0 {
+                        (v[i] - lo[i]) / span
+                    } else {
+                        0.0
+                    };
+                    weights[i].1 * norm
+                })
+                .sum();
+            if best.is_none_or(|(_, s)| score < s) {
+                best = Some((idx, score));
+            }
+        }
+        Ok(best.map(|(idx, _)| grid.config_at(idx)))
+    }
+
+    /// The exact Pareto front of the grid under `metrics` (all in
+    /// minimization sense): each member with its values in `metrics`
+    /// order. Dominated and duplicate-valued points are removed; the
+    /// front is sorted by the first metric, ties in grid order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `metrics` is empty.
+    fn pareto_front(&self, grid: &ParamGrid, metrics: &[Metric]) -> Result<Front, Self::Stop> {
+        assert!(!metrics.is_empty(), "need at least one metric");
+        let k = metrics.len();
+        let values = rows(self, grid, metrics)?;
+        let row = |i: usize| &values[i * k..(i + 1) * k];
+        let mut members = pareto_front_indices(&values, k);
+        members.sort_by(|&a, &b| {
+            row(a)[0]
+                .partial_cmp(&row(b)[0])
+                .expect("front values are finite")
+        });
+        Ok(members
+            .into_iter()
+            .map(|i| (grid.config_at(i), row(i).to_vec()))
+            .collect())
+    }
+}
+
+/// A Pareto front from [`GridScan::pareto_front`]: its members, sorted by
+/// the first metric, each with its metric values in minimization sense.
+pub type Front = Vec<(StackConfig, Vec<f64>)>;
+
+/// The knee member of a two-metric `front` ([`knee_of_front`]); `None`
+/// under any other number of metrics.
+pub fn knee(front: &Front) -> Option<usize> {
+    let xy = front.iter().map(|(_, v)| match v[..] {
+        [x, y] => Some((x, y)),
+        _ => None,
+    });
+    knee_of_front(&xy.collect::<Option<Vec<_>>>()?)
+}
+
+/// Scans the whole grid, handing every score to `visit`.
+fn visit_all<S: GridScan + ?Sized>(
+    scanner: &S,
+    grid: &ParamGrid,
+    mut visit: impl FnMut(&StackConfig, &S::Score),
+) -> Result<(), S::Stop> {
+    let flow = scanner.scan(grid, |config, score| {
+        visit(config, score);
+        ControlFlow::<Infallible>::Continue(())
+    });
+    flow.map(drop)
+}
+
+/// Every candidate's `metrics`, in one flat buffer of one row per
+/// candidate.
+fn rows<S: GridScan + ?Sized>(
+    scanner: &S,
+    grid: &ParamGrid,
+    metrics: &[Metric],
+) -> Result<Vec<f64>, S::Stop> {
+    let mut values = Vec::with_capacity(grid.len() * metrics.len());
+    visit_all(scanner, grid, |_, score| {
+        values.extend(metrics.iter().map(|m| S::value(score, *m)));
+    })?;
+    Ok(values)
 }
 
 /// A configuration together with its predicted performance.
@@ -61,7 +272,8 @@ pub struct Evaluation {
     pub predicted: Predicted,
 }
 
-/// Exhaustive multi-objective optimizer over a parameter grid.
+/// Exhaustive multi-objective optimizer over a parameter grid: the
+/// [`GridScan`] rules on its predictor, each winner with its prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Optimizer {
     /// The analytic evaluator.
@@ -78,179 +290,50 @@ impl Optimizer {
 
     /// Evaluates every configuration of the grid, in grid order.
     pub fn evaluate_grid(&self, grid: &ParamGrid) -> Vec<Evaluation> {
-        let mut evals = Vec::with_capacity(grid.len());
-        self.for_each(grid, |config, predicted| {
-            evals.push(Evaluation {
-                config: *config,
-                predicted: *predicted,
-            })
-        });
-        evals
+        grid.iter().map(|config| self.evaluation(config)).collect()
     }
 
-    /// Hands every configuration of the grid and its prediction to
-    /// `visit`, in grid order, through [`Predictor::scan`].
-    fn for_each(&self, grid: &ParamGrid, mut visit: impl FnMut(&StackConfig, &Predicted)) {
-        let _: ControlFlow<Infallible> = self.predictor.scan(grid, |config, predicted| {
-            visit(config, predicted);
-            ControlFlow::Continue(())
-        });
+    /// `config` with its prediction (bit-identical to a scan's).
+    fn evaluation(&self, config: StackConfig) -> Evaluation {
+        let predicted = self.predictor.evaluate(&config);
+        Evaluation { config, predicted }
     }
 
-    /// The exact Pareto front of the grid under the given metrics
-    /// (all in minimization sense). Dominated and duplicate-valued points
-    /// are removed; the front is sorted by the first metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `metrics` is empty.
+    /// [`GridScan::pareto_front`] on the predictor.
     pub fn pareto_front(&self, grid: &ParamGrid, metrics: &[Metric]) -> Vec<Evaluation> {
-        assert!(!metrics.is_empty(), "need at least one metric");
-        let evals = self.evaluate_grid(grid);
-        let k = metrics.len();
-        let mut values = Vec::with_capacity(evals.len() * k);
-        for e in &evals {
-            values.extend(metrics.iter().map(|m| m.value(&e.predicted)));
-        }
-        let mut front = pareto_front_indices(&values, k);
-        front.sort_by(|&a, &b| {
-            values[a * k]
-                .partial_cmp(&values[b * k])
-                .expect("finite values compare")
-        });
-        front.into_iter().map(|i| evals[i]).collect()
+        let Ok(front) = self.predictor.pareto_front(grid, metrics);
+        front.into_iter().map(|(c, _)| self.evaluation(c)).collect()
     }
 
-    /// The epsilon-constraint method: minimizes `objective` subject to
-    /// `metric ≤ epsilon` for every `(metric, epsilon)` constraint.
-    /// Returns `None` when no grid point is feasible; among equal optima
-    /// the first in grid order wins.
+    /// [`GridScan::epsilon_constraint`] on the predictor.
     pub fn epsilon_constraint(
         &self,
         grid: &ParamGrid,
         objective: Metric,
         constraints: &[(Metric, f64)],
     ) -> Option<Evaluation> {
-        let mut best: Option<(Evaluation, f64)> = None;
-        self.for_each(grid, |config, predicted| {
-            if !constraints
-                .iter()
-                .all(|(m, eps)| m.value(predicted) <= *eps)
-            {
-                return;
-            }
-            let value = objective.value(predicted);
-            if value.is_finite() && best.is_none_or(|(_, b)| value < b) {
-                let evaluation = Evaluation {
-                    config: *config,
-                    predicted: *predicted,
-                };
-                best = Some((evaluation, value));
-            }
-        });
-        best.map(|(evaluation, _)| evaluation)
+        let Ok(best) = (self.predictor).epsilon_constraint(grid, objective, constraints);
+        best.map(|c| self.evaluation(c))
     }
 
-    /// The paper's case-study formulation (Sec. VIII-B): maximize goodput
-    /// while keeping the energy per bit within `slack` (e.g. 1.1 = 10 %)
-    /// of the best energy achievable anywhere on the grid.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slack < 1.0`.
+    /// [`GridScan::joint_energy_goodput`] on the predictor.
     pub fn joint_energy_goodput(&self, grid: &ParamGrid, slack: f64) -> Option<Evaluation> {
-        assert!(slack >= 1.0, "slack must be >= 1.0, got {slack}");
-        let mut best_energy = f64::INFINITY;
-        self.for_each(grid, |_, predicted| {
-            if predicted.u_eng_uj_per_bit.is_finite() {
-                best_energy = best_energy.min(predicted.u_eng_uj_per_bit);
-            }
-        });
-        if !best_energy.is_finite() {
-            return None;
-        }
-        self.epsilon_constraint(
-            grid,
-            Metric::Goodput,
-            &[(Metric::Energy, best_energy * slack)],
-        )
+        let Ok(best) = self.predictor.joint_energy_goodput(grid, slack);
+        best.map(|c| self.evaluation(c))
     }
 
-    /// Weighted-sum scalarization: minimizes `Σ wᵢ · norm(Mᵢ)` where each
-    /// metric is min–max normalized over the grid. A standard cross-check
-    /// for the epsilon-constraint method: with positive weights the
-    /// minimizer always lies on the Pareto front.
-    ///
-    /// Returns `None` for an empty grid or when no point has finite
-    /// values on every metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or any weight is non-positive.
+    /// [`GridScan::weighted_sum`] on the predictor.
     pub fn weighted_sum(&self, grid: &ParamGrid, weights: &[(Metric, f64)]) -> Option<Evaluation> {
-        assert!(!weights.is_empty(), "need at least one weighted metric");
-        assert!(
-            weights.iter().all(|(_, w)| *w > 0.0 && w.is_finite()),
-            "weights must be positive and finite"
-        );
-        let evals = self.evaluate_grid(grid);
-        let k = weights.len();
-        let mut values = Vec::with_capacity(evals.len() * k);
-        for e in &evals {
-            values.extend(weights.iter().map(|(m, _)| m.value(&e.predicted)));
-        }
-        // Min-max bounds per metric over finite points.
-        let mut lo = vec![f64::INFINITY; k];
-        let mut hi = vec![f64::NEG_INFINITY; k];
-        for v in values.chunks_exact(k) {
-            if v.iter().all(|x| x.is_finite()) {
-                for i in 0..k {
-                    lo[i] = lo[i].min(v[i]);
-                    hi[i] = hi[i].max(v[i]);
-                }
-            }
-        }
-        let mut best: Option<(usize, f64)> = None;
-        for (idx, v) in values.chunks_exact(k).enumerate() {
-            if !v.iter().all(|x| x.is_finite()) {
-                continue;
-            }
-            let score: f64 = (0..k)
-                .map(|i| {
-                    let span = hi[i] - lo[i];
-                    let norm = if span > 0.0 {
-                        (v[i] - lo[i]) / span
-                    } else {
-                        0.0
-                    };
-                    weights[i].1 * norm
-                })
-                .sum();
-            if best.is_none_or(|(_, s)| score < s) {
-                best = Some((idx, score));
-            }
-        }
-        best.map(|(idx, _)| evals[idx])
+        let Ok(best) = self.predictor.weighted_sum(grid, weights);
+        best.map(|c| self.evaluation(c))
     }
 
-    /// The knee point of a two-metric Pareto front: the member with the
-    /// greatest normalized distance below the chord between the front's
-    /// endpoints — the "best bang for the buck" compromise.
-    ///
-    /// Returns `None` when the front has fewer than three points (no
-    /// interior point to pick).
+    /// The knee point of a two-metric Pareto front ([`knee`]): the "best
+    /// bang for the buck" compromise. Returns `None` when the front has
+    /// fewer than three points (no interior point to pick).
     pub fn knee_point(&self, grid: &ParamGrid, metrics: [Metric; 2]) -> Option<Evaluation> {
-        let front = self.pareto_front(grid, &metrics);
-        let xy: Vec<(f64, f64)> = front
-            .iter()
-            .map(|e| {
-                (
-                    metrics[0].value(&e.predicted),
-                    metrics[1].value(&e.predicted),
-                )
-            })
-            .collect();
-        knee_of_front(&xy).map(|i| front[i])
+        let Ok(front) = self.predictor.pareto_front(grid, &metrics);
+        knee(&front).map(|i| self.evaluation(front[i].0))
     }
 }
 
@@ -444,8 +527,9 @@ mod tests {
     fn metric_display_value_restores_sign() {
         let p = Predictor::paper();
         let pred = p.evaluate(&StackConfig::default());
-        assert_eq!(Metric::Goodput.display_value(&pred), pred.max_goodput_bps);
-        assert_eq!(Metric::Energy.display_value(&pred), pred.u_eng_uj_per_bit);
+        let display = |m: Metric| m.display_value(m.value(&pred));
+        assert_eq!(display(Metric::Goodput), pred.max_goodput_bps);
+        assert_eq!(display(Metric::Energy), pred.u_eng_uj_per_bit);
     }
 
     #[test]

@@ -6,21 +6,20 @@
 //! `(Ptx, d)` to an expected SNR, yielding a [`Predicted`] vector of all
 //! four performance metrics per configuration.
 
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 
 use serde::{Deserialize, Serialize};
 
 use wsn_params::config::StackConfig;
-use wsn_params::error::InvalidParam;
 use wsn_params::grid::ParamGrid;
-use wsn_params::types::{
-    Distance, MaxTries, PacketInterval, PayloadSize, PowerLevel, QueueCap, RetryDelay,
-};
+use wsn_params::types::{Distance, PowerLevel};
 use wsn_radio::pathloss::PathLoss;
 
 use crate::energy::EnergyModel;
 use crate::goodput::GoodputModel;
 use crate::loss::{mm1k_blocking, LossModel};
+use crate::optimize::{GridScan, Metric};
 use crate::service_time::ServiceTimeModel;
 
 /// Maps a transmit power and distance to an expected SNR.
@@ -133,25 +132,19 @@ impl Predictor {
     /// Evaluates one configuration at an explicitly known SNR (e.g. a
     /// measured one), bypassing the link budget.
     pub fn evaluate_at_snr(&self, config: &StackConfig, snr_db: f64) -> Predicted {
-        self.link_terms(
-            snr_db,
-            config.payload,
-            config.power,
-            config.max_tries,
-            config.retry_delay,
-        )
-        .predict(config)
+        self.link_terms(snr_db, config).predict(config)
     }
 
-    /// The terms of a prediction that read only the link.
-    fn link_terms(
-        &self,
-        snr_db: f64,
-        payload: PayloadSize,
-        power: PowerLevel,
-        max_tries: MaxTries,
-        retry_delay: RetryDelay,
-    ) -> LinkTerms {
+    /// The terms of a prediction that read only the link (not `link`'s
+    /// `Tpkt` or `Qmax`).
+    fn link_terms(&self, snr_db: f64, link: &StackConfig) -> LinkTerms {
+        let StackConfig {
+            payload,
+            power,
+            max_tries,
+            retry_delay,
+            ..
+        } = *link;
         LinkTerms {
             snr_db,
             u_eng: self.energy.u_eng_uj_per_bit(snr_db, payload, power),
@@ -167,79 +160,42 @@ impl Predictor {
             plr_radio: self.loss.radio.rate(snr_db, payload, max_tries),
         }
     }
+}
 
-    /// Predicts every configuration of `grid`, in [`ParamGrid::iter`]
-    /// order, handing each to `visit` until it breaks.
-    ///
-    /// Each `Predicted` is bit-identical to [`evaluate`](Self::evaluate)'s,
-    /// but the scan is cheaper than calling it per configuration: the axes
-    /// are validated once, configurations are assembled without the
-    /// builder, the SNR is computed once per `(d, Ptx)` and the link terms
-    /// (energy, maximum goodput, service time, radio loss) once per
-    /// `(d, Ptx, NmaxTries, Dretry, lD)` — 576 tuples of the paper grid's
-    /// 8,064 configurations per distance. Only ρ, the queue blocking, the
-    /// offered goodput and the delay are computed per configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid axis value, like [`ParamGrid::iter`].
-    pub fn scan<B>(
+/// The predictor as a [`GridScan`]: each `Predicted` is bit-identical to
+/// [`Predictor::evaluate`]'s, but the link terms (energy, maximum goodput,
+/// service time, radio loss) are computed once per link tuple of
+/// [`ParamGrid::walk`] — 576 of the paper grid's 8,064 configurations per
+/// distance — and only ρ, the queue blocking, the offered goodput and the
+/// delay per configuration.
+impl GridScan for Predictor {
+    type Score = Predicted;
+    type Stop = Infallible;
+
+    fn value(score: &Predicted, metric: Metric) -> f64 {
+        metric.value(score)
+    }
+
+    fn scan<B>(
         &self,
         grid: &ParamGrid,
         mut visit: impl FnMut(&StackConfig, &Predicted) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        if grid.is_empty() {
-            return ControlFlow::Continue(());
-        }
-        fn axis<V: Copy, T>(values: &[V], make: impl Fn(V) -> Result<T, InvalidParam>) -> Vec<T> {
-            values
-                .iter()
-                .map(|&v| make(v).expect("grid axis values must be valid"))
-                .collect()
-        }
-        let distances = axis(&grid.distances_m, Distance::from_meters);
-        let powers = axis(&grid.power_levels, PowerLevel::new);
-        let tries = axis(&grid.max_tries, MaxTries::new);
-        let retries: Vec<RetryDelay> = grid
-            .retry_delays_ms
-            .iter()
-            .map(|&ms| RetryDelay::from_millis(ms))
-            .collect();
-        let caps = axis(&grid.queue_caps, QueueCap::new);
-        let intervals = axis(&grid.packet_intervals_ms, PacketInterval::from_millis);
-        let payloads = axis(&grid.payloads, PayloadSize::new);
-
-        let mut links = Vec::with_capacity(payloads.len());
-        for &distance in &distances {
-            for &power in &powers {
-                let snr_db = self.budget.snr_db(power, distance);
-                for &max_tries in &tries {
-                    for &retry_delay in &retries {
-                        links.clear();
-                        links.extend(payloads.iter().map(|&payload| {
-                            self.link_terms(snr_db, payload, power, max_tries, retry_delay)
-                        }));
-                        for &queue_cap in &caps {
-                            for &packet_interval in &intervals {
-                                for (&payload, link) in payloads.iter().zip(&links) {
-                                    let config = StackConfig {
-                                        distance,
-                                        power,
-                                        max_tries,
-                                        retry_delay,
-                                        queue_cap,
-                                        packet_interval,
-                                        payload,
-                                    };
-                                    visit(&config, &link.predict(&config))?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        ControlFlow::Continue(())
+    ) -> Result<ControlFlow<B>, Infallible> {
+        // The walk orders link tuples (d, Ptx)-major, so one remembered
+        // SNR serves each (d, Ptx) run of them.
+        let mut snr = None;
+        Ok(grid.walk(
+            |link| {
+                let key = (link.distance, link.power);
+                let snr_db = match snr {
+                    Some((k, snr_db)) if k == key => snr_db,
+                    _ => self.budget.snr_db(link.power, link.distance),
+                };
+                snr = Some((key, snr_db));
+                self.link_terms(snr_db, link)
+            },
+            |config, link| visit(config, &link.predict(config)),
+        ))
     }
 }
 
@@ -385,7 +341,7 @@ mod tests {
                 ..Predictor::paper()
             };
             let mut configs = grid.iter();
-            let flow: ControlFlow<()> = p.scan(&grid, |config, predicted| {
+            let Ok(flow) = p.scan(&grid, |config, predicted| {
                 let expected = configs.next().expect("scan visits no more than the grid");
                 assert_eq!(*config, expected);
                 // Debug formatting tells −0.0 from 0.0 and prints NaN, so
@@ -394,7 +350,7 @@ mod tests {
                     format!("{predicted:?}"),
                     format!("{:?}", p.evaluate(config))
                 );
-                ControlFlow::Continue(())
+                ControlFlow::<()>::Continue(())
             });
             assert_eq!(flow, ControlFlow::Continue(()));
             assert!(configs.next().is_none(), "scan visits the whole grid");
@@ -406,7 +362,7 @@ mod tests {
         let grid = ParamGrid::paper();
         let p = Predictor::paper();
         let mut visited = 0usize;
-        let flow = p.scan(&grid, |config, _| {
+        let Ok(flow) = p.scan(&grid, |config, _| {
             visited += 1;
             if visited == 1_000 {
                 ControlFlow::Break(*config)
@@ -421,7 +377,9 @@ mod tests {
             payloads: vec![],
             ..ParamGrid::paper()
         };
-        let flow: ControlFlow<()> = p.scan(&empty, |_, _| panic!("nothing to visit"));
+        let Ok(flow) = p.scan(&empty, |_, _| -> ControlFlow<()> {
+            panic!("nothing to visit")
+        });
         assert_eq!(flow, ControlFlow::Continue(()));
     }
 

@@ -332,6 +332,15 @@ fn run_timeline(
     out_dir: Option<&Path>,
     log_path: Option<&Path>,
 ) -> Result<(), CliError> {
+    // A timeline replays a shared-channel network, which only the
+    // sampling engines simulate.
+    if engine == EngineMode::Analytic {
+        return Err(CliError::Usage(
+            "timeline needs --engine golden or fast (the analytic engine has no \
+             multi-link network)"
+                .into(),
+        ));
+    }
     if args.iter().any(|s| s == "list") {
         for (id, description) in wsn_link_sim::catalog::all_timelines() {
             println!("{id}: {description}");
@@ -755,6 +764,17 @@ mod tests {
     fn a_misspelt_flag_is_refused() {
         assert_unknown_flag(&["serve", "--thread", "2"], "--thread");
         assert_unknown_flag(&["-x", "list"], "-x");
+    }
+
+    #[test]
+    fn timeline_refuses_the_analytic_engine_before_running() {
+        match run_args(&["timeline", "hidden-pair", "storm20", "--engine", "analytic"]) {
+            Err(e @ CliError::Usage(_)) => {
+                assert_eq!(e.exit_code(), 1);
+                assert!(e.to_string().contains("--engine golden or fast"), "{e}");
+            }
+            other => panic!("should be a usage error, got {other:?}"),
+        }
     }
 
     #[test]

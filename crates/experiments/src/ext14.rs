@@ -10,10 +10,10 @@
 //! evaluations saved. The shipped claim (pinned by the tests) is ≤ 5 %
 //! energy regret at a quarter of the grid.
 
-use wsn_analytic::runner::EngineRunner;
+use wsn_analytic::runner::{AnalyticScan, EngineRunner};
 use wsn_link_sim::traffic::TrafficModel;
 use wsn_models::explore::explore_grid;
-use wsn_params::config::StackConfig;
+use wsn_models::optimize::{GridScan, Metric};
 use wsn_params::grid::ParamGrid;
 use wsn_radio::channel::ChannelConfig;
 
@@ -32,31 +32,6 @@ fn slice() -> ParamGrid {
     }
 }
 
-/// A memoized analytic evaluator over the hallway channel, mirroring the
-/// serve layer's analytic backend (periodic traffic at each candidate's
-/// own operating point).
-struct Evaluator {
-    runner: EngineRunner,
-    packets: u64,
-}
-
-impl Evaluator {
-    fn new(scale: Scale) -> Self {
-        Evaluator {
-            runner: EngineRunner::new(ChannelConfig::paper_hallway(), TrafficModel::Periodic),
-            packets: scale.packets(),
-        }
-    }
-
-    /// Energy per information bit of one candidate, µJ/bit.
-    fn energy(&self, config: StackConfig) -> f64 {
-        self.runner
-            .analytic(config, self.packets)
-            .into_metrics()
-            .u_eng_uj_per_bit
-    }
-}
-
 /// One budget row of the study.
 struct BudgetRun {
     budget: u64,
@@ -64,9 +39,9 @@ struct BudgetRun {
     found: f64,
 }
 
-fn run_budget(eval: &Evaluator, grid: &ParamGrid, budget: u64) -> BudgetRun {
+fn run_budget(scan: &AnalyticScan, grid: &ParamGrid, budget: u64) -> BudgetRun {
     let outcome = explore_grid(grid, budget, |_, config| {
-        let energy = eval.energy(*config);
+        let energy = scan.metrics(*config).u_eng_uj_per_bit;
         Ok::<_, std::convert::Infallible>(Some(energy))
     })
     .expect("infallible evaluator")
@@ -79,19 +54,20 @@ fn run_budget(eval: &Evaluator, grid: &ParamGrid, budget: u64) -> BudgetRun {
 }
 
 /// The exhaustive truth: minimum finite energy over the whole slice.
-fn exhaustive_best(eval: &Evaluator, grid: &ParamGrid) -> f64 {
-    grid.iter()
-        .map(|config| eval.energy(config))
-        .filter(|e| e.is_finite())
-        .fold(f64::INFINITY, f64::min)
+fn exhaustive_best(scan: &AnalyticScan, grid: &ParamGrid) -> f64 {
+    let Ok(best) = scan.epsilon_constraint(grid, Metric::Energy, &[]);
+    scan.metrics(best.expect("feasible grid")).u_eng_uj_per_bit
 }
 
 /// Runs the budgeted-exploration study.
 pub fn run(scale: Scale) -> Report {
     let grid = slice();
     let n = grid.len() as u64;
-    let eval = Evaluator::new(scale);
-    let best = exhaustive_best(&eval, &grid);
+    // The serve layer's analytic backend: periodic traffic at each
+    // candidate's own operating point.
+    let runner = EngineRunner::new(ChannelConfig::paper_hallway(), TrafficModel::Periodic);
+    let scan = runner.analytic_scan(scale.packets());
+    let best = exhaustive_best(&scan, &grid);
 
     let mut table = Table::new(vec![
         "budget",
@@ -104,7 +80,7 @@ pub fn run(scale: Scale) -> Report {
     ]);
     let mut worst_quarter_regret = 0.0f64;
     for budget in [n / 4, n / 16] {
-        let run = run_budget(&eval, &grid, budget);
+        let run = run_budget(&scan, &grid, budget);
         let regret = (run.found - best) / best;
         if budget == n / 4 {
             worst_quarter_regret = worst_quarter_regret.max(regret);
@@ -154,9 +130,10 @@ mod tests {
     fn quarter_budget_meets_the_shipped_regret_claim() {
         let grid = slice();
         let n = grid.len() as u64;
-        let eval = Evaluator::new(Scale::Bench);
-        let best = exhaustive_best(&eval, &grid);
-        let run = run_budget(&eval, &grid, n / 4);
+        let runner = EngineRunner::new(ChannelConfig::paper_hallway(), TrafficModel::Periodic);
+        let scan = runner.analytic_scan(Scale::Bench.packets());
+        let best = exhaustive_best(&scan, &grid);
+        let run = run_budget(&scan, &grid, n / 4);
         assert!(run.evaluations <= n / 4, "{} > {}", run.evaluations, n / 4);
         let regret = (run.found - best) / best;
         assert!(

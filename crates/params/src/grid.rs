@@ -6,10 +6,15 @@
 //! [`ParamGrid`] also serves as a general axis-restriction mechanism for the
 //! per-figure experiment sweeps.
 
+use std::ops::ControlFlow;
+
 use serde::{Deserialize, Serialize};
 
 use crate::config::StackConfig;
 use crate::error::InvalidParam;
+use crate::types::{
+    Distance, MaxTries, PacketInterval, PayloadSize, PowerLevel, QueueCap, RetryDelay,
+};
 
 /// Value axes of the exploration grid, one `Vec` per stack parameter.
 ///
@@ -91,32 +96,80 @@ impl ParamGrid {
         self.len() == 0
     }
 
-    /// Validates every axis value by building the first configuration that
-    /// uses it.
+    /// Validates every axis value.
     ///
     /// # Errors
     ///
     /// Returns the first [`InvalidParam`] found on any axis.
     pub fn validate(&self) -> Result<(), InvalidParam> {
-        for &d in &self.distances_m {
-            crate::types::Distance::from_meters(d)?;
-        }
-        for &p in &self.power_levels {
-            crate::types::PowerLevel::new(p)?;
-        }
-        for &n in &self.max_tries {
-            crate::types::MaxTries::new(n)?;
-        }
-        for &q in &self.queue_caps {
-            crate::types::QueueCap::new(q)?;
-        }
-        for &t in &self.packet_intervals_ms {
-            crate::types::PacketInterval::from_millis(t)?;
-        }
-        for &l in &self.payloads {
-            crate::types::PayloadSize::new(l)?;
-        }
+        axis(&self.distances_m, Distance::from_meters)?;
+        axis(&self.power_levels, PowerLevel::new)?;
+        axis(&self.max_tries, MaxTries::new)?;
+        axis(&self.queue_caps, QueueCap::new)?;
+        axis(&self.packet_intervals_ms, PacketInterval::from_millis)?;
+        axis(&self.payloads, PayloadSize::new)?;
         Ok(())
+    }
+
+    /// Walks every configuration in [`iter`](Self::iter) order until
+    /// `visit` breaks. `link` runs once per link tuple `(d, Ptx,
+    /// NmaxTries, Dretry, lD)`, on its first configuration (whose `Qmax`
+    /// and `Tpkt` it must not read), and `visit` gets each configuration
+    /// with its tuple's value. The axes are validated before anything runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid axis value, like [`iter`](Self::iter).
+    pub fn walk<L, B>(
+        &self,
+        mut link: impl FnMut(&StackConfig) -> L,
+        mut visit: impl FnMut(&StackConfig, &L) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        if self.is_empty() {
+            return ControlFlow::Continue(());
+        }
+        let valid = "grid axis values must be valid";
+        let distances = axis(&self.distances_m, Distance::from_meters).expect(valid);
+        let powers = axis(&self.power_levels, PowerLevel::new).expect(valid);
+        let tries = axis(&self.max_tries, MaxTries::new).expect(valid);
+        let retries =
+            axis(&self.retry_delays_ms, |ms| Ok(RetryDelay::from_millis(ms))).expect(valid);
+        let caps = axis(&self.queue_caps, QueueCap::new).expect(valid);
+        let intervals = axis(&self.packet_intervals_ms, PacketInterval::from_millis).expect(valid);
+        let payloads = axis(&self.payloads, PayloadSize::new).expect(valid);
+
+        let mut links = Vec::with_capacity(payloads.len());
+        for &distance in &distances {
+            for &power in &powers {
+                for &max_tries in &tries {
+                    for &retry_delay in &retries {
+                        let config = |queue_cap, packet_interval, payload| StackConfig {
+                            distance,
+                            power,
+                            max_tries,
+                            retry_delay,
+                            queue_cap,
+                            packet_interval,
+                            payload,
+                        };
+                        links.clear();
+                        links.extend(
+                            payloads
+                                .iter()
+                                .map(|&payload| link(&config(caps[0], intervals[0], payload))),
+                        );
+                        for &queue_cap in &caps {
+                            for &packet_interval in &intervals {
+                                for (&payload, value) in payloads.iter().zip(&links) {
+                                    visit(&config(queue_cap, packet_interval, payload), value)?;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Iterates all configurations in lexicographic order
@@ -166,6 +219,14 @@ impl ParamGrid {
             .build()
             .expect("grid axis values must be valid")
     }
+}
+
+/// One axis as parameter values, or its first invalid value's error.
+fn axis<V: Copy, T>(
+    values: &[V],
+    make: impl Fn(V) -> Result<T, InvalidParam>,
+) -> Result<Vec<T>, InvalidParam> {
+    values.iter().map(|&v| make(v)).collect()
 }
 
 /// Iterator over every [`StackConfig`] in a [`ParamGrid`].
@@ -293,6 +354,35 @@ mod tests {
         let mut g = ParamGrid::paper();
         g.power_levels.push(0);
         assert!(g.validate().is_err());
+    }
+
+    #[test]
+    fn walk_visits_the_iter_sequence_with_one_link_value_per_tuple() {
+        let single = ParamGrid::singleton(&StackConfig::default());
+        for g in [ParamGrid::paper(), single] {
+            let mut expected = g.iter();
+            let mut links = 0usize;
+            let flow: ControlFlow<()> = g.walk(
+                |first| {
+                    links += 1;
+                    *first
+                },
+                |config, first| {
+                    assert_eq!(Some(*config), expected.next());
+                    let tuple = |c: &StackConfig| {
+                        (c.distance, c.power, c.max_tries, c.retry_delay, c.payload)
+                    };
+                    assert_eq!(tuple(first), tuple(config));
+                    ControlFlow::Continue(())
+                },
+            );
+            assert_eq!(flow, ControlFlow::Continue(()));
+            assert!(expected.next().is_none(), "the walk visits the whole grid");
+            assert_eq!(
+                links * g.queue_caps.len() * g.packet_intervals_ms.len(),
+                g.len()
+            );
+        }
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //!
 //! The engine owns exactly the shared state every worker needs — one
 //! evaluation context per [`Profile`] (an [`EngineRunner`] on its channel
-//! and load, and the golden [`Optimizer`]), one [`ShardedCache`], one
+//! and load, and the golden [`Predictor`]), one [`ShardedCache`], one
 //! [`ServeStats`] —
 //! and no per-connection state, so a single `Arc<Engine>` fans out to the
 //! whole pool.
 //!
-//! The grid scans (`tune`, `pareto`, `explore`) all score candidates
-//! through one `Evaluator`: it picks the backend (predictor, analytic or
-//! fast), counts candidates and owns the request deadline.
+//! `tune` and `pareto` run the shared selection rules of [`GridScan`] on
+//! a closed-form scanner — the golden predictor or the analytic engine —
+//! wrapped in an `Evaluator`, which counts candidates and stops the scan
+//! at the request deadline. `explore` scores one candidate at a time
+//! (the fast sampler included) and counts each against the same deadline.
 //!
 //! Caching contract: the cache stores the *serialized result string*, and
 //! the envelope splices it in verbatim, so a repeat request returns a
@@ -18,18 +20,20 @@
 //! step that could reorder fields or reformat floats. Error results and
 //! live ops (`stats`, `shutdown`) are never cached.
 
+use std::cell::Cell;
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
-use wsn_analytic::runner::EngineRunner;
+use wsn_analytic::runner::{AnalyticScan, EngineRunner};
 use wsn_analytic::AnalyticReport;
 use wsn_link_sim::catalog::{all_scenarios, build_scenario};
 use wsn_link_sim::metrics::LinkMetrics;
 use wsn_link_sim::network::{AirStats, NetOptions, NetworkSimulation, TopoStats};
 use wsn_models::explore::explore_grid;
-use wsn_models::optimize::{knee_of_front, pareto_front_indices, Metric, Optimizer};
-use wsn_models::predict::{LinkBudget, Predicted};
+use wsn_models::optimize::{knee, GridScan, Metric};
+use wsn_models::predict::{LinkBudget, Predicted, Predictor};
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
 use wsn_params::types::Distance;
@@ -94,178 +98,95 @@ pub struct Engine {
 }
 
 /// How many candidate evaluations a grid scan runs between deadline
-/// checks. A golden prediction inside
-/// [`Predictor::scan`](wsn_models::predict::Predictor::scan) costs
-/// ~20 ns, an analytic link-stage hit ~300 ns and an analytic miss
-/// ~15 µs, so this stride bounds the overshoot past an expired deadline to
-/// about a millisecond at worst while keeping `Instant::now` off the hot
-/// path.
+/// checks. A golden prediction costs ~20 ns; an analytic candidate costs
+/// one queue stage, plus one link-stage lookup per 14 candidates (a cold
+/// lookup computes the stage, ~15 µs). This stride bounds the overshoot
+/// past an expired deadline to about a millisecond at worst while keeping
+/// `Instant::now` off the hot path.
 const DEADLINE_STRIDE: u64 = 64;
 
 /// Everything a [`Profile`] pins: the engine runner on its channel and
 /// load (the memo tables are valid for one channel only, hence one runner
-/// per profile) and the golden optimizer on its link budget.
+/// per profile) and the golden predictor on its link budget.
 #[derive(Debug)]
 struct ProfileCtx {
     runner: EngineRunner,
-    optimizer: Optimizer,
+    predictor: Predictor,
 }
 
 impl ProfileCtx {
-    /// The paper profile's optimizer predicts on the hallway budget; the
-    /// case study's on the shadowed 35 m budget of Sec. VIII-C, where the
+    /// The paper profile's predictor uses the hallway budget; the case
+    /// study's the shadowed 35 m budget of Sec. VIII-C, where the
     /// published winner (`Ptx=31`, interior payload, `N=3`) emerges.
     fn new(profile: Profile) -> Self {
-        let mut optimizer = Optimizer::paper();
-        optimizer.predictor.budget = match profile {
+        let mut predictor = Predictor::paper();
+        predictor.budget = match profile {
             Profile::Paper => LinkBudget::paper_hallway(),
             Profile::CaseStudy => LinkBudget::case_study(),
         };
         ProfileCtx {
             runner: EngineRunner::new(profile.channel(), profile.traffic()),
-            optimizer,
+            predictor,
         }
     }
 }
 
-/// The backend that scores grid-scan candidates.
-#[derive(Debug, Clone, Copy)]
-enum Scorer {
-    /// The golden closed-form predictor (microseconds).
-    Predictor,
-    /// A simulating engine at the default scale and seed: the memoized
-    /// M/G/1 closed form at the candidate's operating point, or the fast
-    /// per-packet sampler.
-    Engine(EngineMode),
-}
-
-impl Scorer {
-    /// The backend a scan under `engine` scores with. Only `explore`
-    /// searches with the fast sampler; `tune` ranks with the predictor
-    /// and re-runs just its winner through fast, and `pareto` refuses
-    /// fast at parse time.
-    fn of(engine: EngineMode, explore: bool) -> Self {
-        match engine {
-            EngineMode::Analytic => Scorer::Engine(engine),
-            EngineMode::Fast if explore => Scorer::Engine(engine),
-            _ => Scorer::Predictor,
-        }
-    }
-}
-
-/// One candidate's score: a closed-form prediction or a simulated
-/// (analytic/fast) metric set.
-enum Score {
-    Predicted(Predicted),
-    Simulated(LinkMetrics),
-}
-
-impl Score {
-    /// `metric` in minimization sense (goodput negated, as in
-    /// [`Metric::value`]). Infeasible operating points read `INFINITY`
-    /// (energy with zero delivery).
-    fn value(&self, metric: Metric) -> f64 {
-        match self {
-            Score::Predicted(p) => metric.value(p),
-            Score::Simulated(m) => match metric {
-                Metric::Energy => m.u_eng_uj_per_bit,
-                Metric::Goodput => -m.goodput_bps,
-                Metric::Delay => m.delay_mean_ms,
-                Metric::Loss => m.plr_total(),
-            },
-        }
-    }
-
-    /// The objective value when every constraint holds and the value is
-    /// finite; `None` marks the candidate infeasible.
-    fn feasible(&self, objective: Metric, constraints: &[(Metric, f64)]) -> Option<f64> {
-        if !constraints.iter().all(|(m, max)| self.value(*m) <= *max) {
-            return None;
-        }
-        Some(self.value(objective)).filter(|v| v.is_finite())
-    }
-}
-
-/// A grid scan's one seam to the backends: scores candidates under one
-/// profile and scorer, and owns the cooperative deadline — it counts
-/// every candidate and fails with [`ErrCode::Deadline`] once the wall
-/// clock passes the request's deadline. `None` never fires, so
+/// Counts one candidate of a scan against the request's cooperative
+/// deadline: errs with [`ErrCode::Deadline`] once the wall clock has passed
+/// it, read every [`DEADLINE_STRIDE`] candidates. `None` never fires, so
 /// undeadlined scans pay only the counter increment.
-struct Evaluator<'a> {
-    ctx: &'a ProfileCtx,
-    scorer: Scorer,
-    deadline: Option<Instant>,
-    scanned: u64,
+fn count(scanned: &Cell<u64>, deadline: Option<Instant>) -> Result<(), ExecError> {
+    scanned.set(scanned.get() + 1);
+    let expired = || deadline.is_some_and(|at| Instant::now() > at);
+    if scanned.get().is_multiple_of(DEADLINE_STRIDE) && expired() {
+        return Err(ExecError::deadline(scanned.get()));
+    }
+    Ok(())
 }
 
-impl Evaluator<'_> {
-    /// Counts one candidate; errs when the deadline has passed (checked
-    /// every [`DEADLINE_STRIDE`] candidates).
-    fn count(&mut self) -> Result<(), ExecError> {
-        self.scanned += 1;
-        if self.scanned.is_multiple_of(DEADLINE_STRIDE) {
-            if let Some(deadline) = self.deadline {
-                if Instant::now() > deadline {
-                    return Err(ExecError::deadline(self.scanned));
-                }
-            }
+/// A closed-form scanner under a request deadline: the [`GridScan`] that
+/// `tune` and `pareto` run the shared selection rules on. It scores
+/// exactly as the scanner it wraps, counts every candidate, and stops
+/// with [`ExecError`] once the deadline has passed.
+struct Evaluator<'a, S> {
+    scanner: &'a S,
+    deadline: Option<Instant>,
+    scanned: Cell<u64>,
+}
+
+impl<'a, S> Evaluator<'a, S> {
+    fn new(scanner: &'a S, deadline: Option<Instant>) -> Self {
+        let scanned = Cell::new(0);
+        Evaluator {
+            scanner,
+            deadline,
+            scanned,
         }
-        Ok(())
+    }
+}
+
+impl<S: GridScan<Stop = Infallible>> GridScan for Evaluator<'_, S> {
+    type Score = S::Score;
+    type Stop = ExecError;
+
+    fn value(score: &S::Score, metric: Metric) -> f64 {
+        S::value(score, metric)
     }
 
-    /// Counts and scores one candidate.
-    fn next(&mut self, config: StackConfig) -> Result<Score, ExecError> {
-        self.count()?;
-        Ok(self.score(config))
-    }
-
-    /// Counts and scores every configuration of `grid` in grid order,
-    /// handing each to `visit`. The predictor scores through
-    /// [`Predictor::scan`](wsn_models::predict::Predictor::scan), which
-    /// shares each link tuple's terms across its `Tpkt × Qmax`
-    /// configurations; the engines score one configuration at a time.
-    fn scan(
-        &mut self,
+    fn scan<B>(
+        &self,
         grid: &ParamGrid,
-        mut visit: impl FnMut(StackConfig, &Score),
-    ) -> Result<(), ExecError> {
-        match self.scorer {
-            Scorer::Predictor => {
-                let predictor = &self.ctx.optimizer.predictor;
-                let flow = predictor.scan(grid, |config, predicted| {
-                    if let Err(e) = self.count() {
-                        return ControlFlow::Break(e);
-                    }
-                    visit(*config, &Score::Predicted(*predicted));
-                    ControlFlow::Continue(())
-                });
-                match flow {
-                    ControlFlow::Break(e) => Err(e),
-                    ControlFlow::Continue(()) => Ok(()),
-                }
+        mut visit: impl FnMut(&StackConfig, &S::Score) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B>, ExecError> {
+        let Ok(flow) = self.scanner.scan(grid, |config, score| {
+            match count(&self.scanned, self.deadline) {
+                Ok(()) => visit(config, score).map_break(Ok),
+                Err(e) => ControlFlow::Break(Err(e)),
             }
-            Scorer::Engine(_) => {
-                for config in grid.iter() {
-                    let score = self.next(config)?;
-                    visit(config, &score);
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Scores `config` without counting it against the deadline — for
-    /// re-rendering a winner once the search is over. Free (predictor,
-    /// analytic memo hit) or deterministic (fast sampler, fixed seed).
-    fn score(&self, config: StackConfig) -> Score {
-        match self.scorer {
-            Scorer::Predictor => Score::Predicted(self.ctx.optimizer.predictor.evaluate(&config)),
-            Scorer::Engine(engine) => Score::Simulated(
-                self.ctx
-                    .runner
-                    .run(engine, config, DEFAULT_PACKETS, DEFAULT_SEED)
-                    .metrics,
-            ),
+        });
+        match flow {
+            ControlFlow::Continue(()) => Ok(ControlFlow::Continue(())),
+            ControlFlow::Break(stop) => stop.map(ControlFlow::Break),
         }
     }
 }
@@ -364,7 +285,7 @@ struct TuneResult {
 
 /// One non-dominated configuration of a `pareto` result. `values` line up
 /// with the request's metric order, in display sense (goodput positive).
-#[derive(Serialize, Clone)]
+#[derive(Serialize)]
 struct FrontMember {
     config: StackConfig,
     values: Vec<f64>,
@@ -498,15 +419,6 @@ pub fn simulate_result_body(
     })
 }
 
-/// Converts a minimization-sense value back to display sense (goodput is
-/// internally negated so smaller-is-better holds uniformly).
-fn display_value(metric: Metric, value: f64) -> f64 {
-    match metric {
-        Metric::Goodput => -value,
-        _ => value,
-    }
-}
-
 /// The constraint echo block shared by `tune`/`explore` result bodies,
 /// in request order.
 fn constraint_echo(constraints: &[(Metric, f64)]) -> Vec<ConstraintEcho> {
@@ -515,6 +427,39 @@ fn constraint_echo(constraints: &[(Metric, f64)]) -> Vec<ConstraintEcho> {
         .map(|(m, max)| ConstraintEcho {
             metric: metric_name(*m).to_string(),
             max: *max,
+        })
+        .collect()
+}
+
+/// The `pareto` front of every distance of `grid` under `scanner` and
+/// `deadline`: each sorted by the first metric, values in display sense,
+/// the chord-rule knee attached when the front is two-dimensional.
+fn fronts<S: GridScan<Stop = Infallible>>(
+    scanner: &S,
+    deadline: Option<Instant>,
+    grid: &ParamGrid,
+    metrics: &[Metric],
+) -> Result<Vec<DistanceFront>, ExecError> {
+    let scanner = Evaluator::new(scanner, deadline);
+    grid.distances_m
+        .iter()
+        .map(|&d| {
+            let slice = ParamGrid {
+                distances_m: vec![d],
+                ..grid.clone()
+            };
+            let front = scanner.pareto_front(&slice, metrics)?;
+            let member = |i: usize| FrontMember {
+                config: front[i].0,
+                values: (metrics.iter().zip(&front[i].1))
+                    .map(|(m, v)| m.display_value(*v))
+                    .collect(),
+            };
+            Ok(DistanceFront {
+                distance_m: d,
+                front: (0..front.len()).map(member).collect(),
+                knee: knee(&front).map(member),
+            })
         })
         .collect()
 }
@@ -668,7 +613,7 @@ impl Engine {
                 // Golden keeps the historical body, byte-identical.
                 _ => render(&PredictResult {
                     config: *config,
-                    predicted: self.paper().optimizer.predictor.evaluate(config),
+                    predicted: self.paper().predictor.evaluate(config),
                 }),
             }),
             RequestBody::Tune {
@@ -774,21 +719,6 @@ impl Engine {
         &self.profiles[profile as usize]
     }
 
-    /// A fresh evaluator for one scan under `profile`.
-    fn evaluator(
-        &self,
-        profile: Profile,
-        scorer: Scorer,
-        deadline: Option<Instant>,
-    ) -> Evaluator<'_> {
-        Evaluator {
-            ctx: self.profile(profile),
-            scorer,
-            deadline,
-            scanned: 0,
-        }
-    }
-
     /// Runs one configuration under the requested engine mode. Only the
     /// golden engine has an event loop, and only its load feeds the
     /// executor counters.
@@ -822,22 +752,17 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
         let grid = scan_grid(distance_m)?;
-        let mut eval = self.evaluator(Profile::Paper, Scorer::of(engine, false), deadline);
-        // Strict `<` keeps the *first* minimum in grid order, matching
-        // `min_by` in `Optimizer::epsilon_constraint` exactly — a cached
-        // answer from either and a fresh one agree byte-for-byte.
-        let mut best: Option<(StackConfig, f64)> = None;
-        eval.scan(&grid, |config, score| {
-            if let Some(value) = score.feasible(objective, constraints) {
-                if best.is_none_or(|(_, b)| value < b) {
-                    best = Some((config, value));
-                }
-            }
-        })?;
-        let (config, _) = best.ok_or_else(|| {
+        let paper = self.paper();
+        let winner = if engine == EngineMode::Analytic {
+            let scan = paper.runner.analytic_scan(DEFAULT_PACKETS);
+            Evaluator::new(&scan, deadline).epsilon_constraint(&grid, objective, constraints)
+        } else {
+            let predictor = &paper.predictor;
+            Evaluator::new(predictor, deadline).epsilon_constraint(&grid, objective, constraints)
+        }?;
+        let config = winner.ok_or_else(|| {
             ExecError::bad_request("no feasible configuration on the grid".to_string())
         })?;
-        let paper = self.paper();
         let grid_configs = grid.len() as u64;
         // A memo hit: the scan already evaluated the winner.
         let analytic = (engine == EngineMode::Analytic).then(|| {
@@ -854,7 +779,7 @@ impl Engine {
             grid_configs,
             engine: engine.name().to_string(),
             config,
-            predicted: paper.optimizer.predictor.evaluate(&config),
+            predicted: paper.predictor.evaluate(&config),
             simulated: (engine != EngineMode::Golden).then(|| {
                 paper
                     .runner
@@ -880,51 +805,17 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
         let grid = scan_grid(distance_m)?;
-        let mut eval = self.evaluator(profile, Scorer::of(engine, false), deadline);
-        let mut distances = Vec::with_capacity(grid.distances_m.len());
-        for &d in &grid.distances_m {
-            let slice = ParamGrid {
-                distances_m: vec![d],
-                ..grid.clone()
-            };
-            // One flat buffer of `k` values per candidate, row after row.
-            let k = metrics.len();
-            let mut configs = Vec::with_capacity(slice.len());
-            let mut values = Vec::with_capacity(slice.len() * k);
-            eval.scan(&slice, |config, score| {
-                configs.push(config);
-                values.extend(metrics.iter().map(|m| score.value(*m)));
-            })?;
-            let row = |i: usize| &values[i * k..(i + 1) * k];
-            let mut front = pareto_front_indices(&values, k);
-            front.sort_by(|&a, &b| {
-                row(a)[0]
-                    .partial_cmp(&row(b)[0])
-                    .expect("front values are finite")
-            });
-            let members: Vec<FrontMember> = front
-                .iter()
-                .map(|&i| FrontMember {
-                    config: configs[i],
-                    values: metrics
-                        .iter()
-                        .zip(row(i))
-                        .map(|(m, v)| display_value(*m, *v))
-                        .collect(),
-                })
-                .collect();
-            let knee = if k == 2 {
-                let xy: Vec<(f64, f64)> = front.iter().map(|&i| (row(i)[0], row(i)[1])).collect();
-                knee_of_front(&xy).map(|i| members[i].clone())
-            } else {
-                None
-            };
-            distances.push(DistanceFront {
-                distance_m: d,
-                front: members,
-                knee,
-            });
-        }
+        let ctx = self.profile(profile);
+        let distances = if engine == EngineMode::Analytic {
+            fronts(
+                &ctx.runner.analytic_scan(DEFAULT_PACKETS),
+                deadline,
+                &grid,
+                metrics,
+            )
+        } else {
+            fronts(&ctx.predictor, deadline, &grid, metrics)
+        }?;
         Ok(render(&ParetoResult {
             metrics: metrics
                 .iter()
@@ -954,18 +845,32 @@ impl Engine {
         deadline: Option<Instant>,
     ) -> Result<String, ExecError> {
         let grid = scan_grid(distance_m)?;
-        let mut eval = self.evaluator(profile, Scorer::of(engine, true), deadline);
+        let ctx = self.profile(profile);
+        let predictor = &ctx.predictor;
+        // Golden searches with the predictor; analytic and fast with their
+        // own engine at the default scale and seed.
+        let simulate = |config: StackConfig| {
+            ctx.runner
+                .run(engine, config, DEFAULT_PACKETS, DEFAULT_SEED)
+                .metrics
+        };
+        let scanned = Cell::new(0);
         let outcome = explore_grid(&grid, budget, |_, config| {
-            Ok(eval.next(*config)?.feasible(objective, constraints))
+            count(&scanned, deadline)?;
+            Ok(match engine {
+                EngineMode::Golden => {
+                    Predictor::feasible(&predictor.evaluate(config), objective, constraints)
+                }
+                _ => AnalyticScan::feasible(&simulate(*config), objective, constraints),
+            })
         })?
         .ok_or_else(|| {
             ExecError::bad_request("no feasible configuration found within the budget".to_string())
         })?;
         let config = grid.config_at(outcome.best_index);
-        let (predicted, metrics) = match eval.score(config) {
-            Score::Predicted(predicted) => (Some(predicted), None),
-            Score::Simulated(metrics) => (None, Some(metrics)),
-        };
+        // The winner is re-rendered uncounted: free (predictor, analytic
+        // memo hit) or deterministic (fast sampler, fixed seed).
+        let golden = engine == EngineMode::Golden;
         Ok(render(&ExploreResult {
             objective: metric_name(objective).to_string(),
             constraints: constraint_echo(constraints),
@@ -980,9 +885,9 @@ impl Engine {
                 local: outcome.local,
             },
             config,
-            objective_value: display_value(objective, outcome.best_value),
-            predicted,
-            metrics,
+            objective_value: objective.display_value(outcome.best_value),
+            predicted: golden.then(|| predictor.evaluate(&config)),
+            metrics: (!golden).then(|| simulate(config)),
         }))
     }
 
@@ -1049,6 +954,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::protocol::parse_request;
+    use wsn_models::optimize::Optimizer;
 
     fn body(line: &str) -> RequestBody {
         parse_request(line).expect("valid request").body
@@ -1386,9 +1292,9 @@ mod tests {
 
     #[test]
     fn inline_tune_matches_the_optimizer_exactly() {
-        // The golden tune loop was inlined from `epsilon_constraint` so it
-        // could check the deadline; a cached pre-inline answer and a fresh
-        // one must pick the same winner, ties included.
+        // `tune` runs `epsilon_constraint` through the deadline wrapper; a
+        // cached answer from `Optimizer` and a fresh one must pick the same
+        // winner, ties included.
         let engine = Engine::new(4);
         let optimizer = Optimizer::paper();
         for (objective, constraints) in [
@@ -1499,13 +1405,20 @@ mod tests {
     fn predictor_tune_past_its_deadline_stops_after_one_stride() {
         let engine = Engine::new(4);
         let past = Instant::now() - std::time::Duration::from_millis(10);
-        let req = body(r#"{"op":"tune","objective":"energy"}"#);
-        let err = engine.execute_with_deadline(&req, Some(past)).unwrap_err();
-        assert_eq!(err.code, ErrCode::Deadline);
-        assert_eq!(
-            err.message,
-            format!("deadline expired after {DEADLINE_STRIDE} candidate evaluations")
-        );
+        for line in [
+            r#"{"op":"tune","objective":"energy"}"#,
+            r#"{"op":"tune","objective":"energy","engine":"analytic"}"#,
+        ] {
+            let err = engine
+                .execute_with_deadline(&body(line), Some(past))
+                .unwrap_err();
+            assert_eq!(err.code, ErrCode::Deadline, "{line}");
+            assert_eq!(
+                err.message,
+                format!("deadline expired after {DEADLINE_STRIDE} candidate evaluations"),
+                "{line}"
+            );
+        }
     }
 
     #[test]

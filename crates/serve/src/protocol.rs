@@ -388,12 +388,18 @@ fn require_u64(value: &Value, what: &str) -> Result<u64, String> {
 
 fn require_f64(value: &Value, what: &str) -> Result<f64, String> {
     // `Value::as_f64` reads `null` as NaN (the store round-trips NaN
-    // metrics that way); a request number must be written out.
-    match value {
+    // metrics that way) and an overflowing literal such as `1e999` as
+    // ±inf; a request number must be written out, and finite.
+    let number = match value {
         Value::Null => None,
         v => v.as_f64(),
     }
-    .ok_or_else(|| format!("{what} must be a number, got {}", value.kind()))
+    .ok_or_else(|| format!("{what} must be a number, got {}", value.kind()))?;
+    if number.is_finite() {
+        Ok(number)
+    } else {
+        Err(format!("{what} must be a finite number, got {number}"))
+    }
 }
 
 /// Builds a [`StackConfig`] from a request's `"config"` object. Missing
@@ -1201,6 +1207,30 @@ mod tests {
                 assert_eq!((packets, seed), (DEFAULT_PACKETS, DEFAULT_SEED));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_overflowing_number_is_refused_not_read_as_infinity() {
+        for (line, error) in [
+            (
+                r#"{"op":"tune","objective":"energy","constraints":[{"metric":"loss","max":1e999}]}"#,
+                "constraint max must be a finite number, got inf",
+            ),
+            (
+                r#"{"op":"tune","objective":"energy","constraints":[{"metric":"loss","max":-1e999}]}"#,
+                "constraint max must be a finite number, got -inf",
+            ),
+            (
+                r#"{"op":"pareto","distance_m":1e999}"#,
+                "distance_m must be a finite number, got inf",
+            ),
+            (
+                r#"{"op":"simulate","config":{"distance_m":-1e999}}"#,
+                "config.distance_m must be a finite number, got -inf",
+            ),
+        ] {
+            assert_bad_request(line, error);
         }
     }
 

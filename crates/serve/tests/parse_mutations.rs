@@ -4,14 +4,14 @@
 //!
 //! * truncation at every char boundary;
 //! * each scalar value (not key) replaced with `null`, `-1`, `1e400`,
-//!   `18446744073709551616`, `"x"`, `[]` and `{}`;
+//!   `1e999`, `-1e999`, `18446744073709551616`, `"x"`, `[]` and `{}`;
 //! * the first key of the top-level object duplicated.
 //!
 //! Invariants, on every mutant: `parse_request` never panics and gives an
-//! equal `Result` (field for field, NaN included) on a second call; an
-//! `Ok` carries no NaN in a config distance, a scan's distance or
-//! constraint bound, or an inline timeline event's time or `Move`
-//! coordinate, and `cache_key` never panics on it; and every
+//! equal `Result` (field for field) on a second call; an `Ok` carries no
+//! non-finite number (NaN or ±inf) in a config distance, a scan's
+//! distance or constraint bound, or an inline timeline event's time or
+//! `Move` coordinate, and `cache_key` never panics on it; and every
 //! `Rejection` renders through `envelope_err` to one line that
 //! `serde_json::parse` accepts, with `"ok":false` and the rejection's
 //! wire code.
@@ -25,10 +25,12 @@ use wsn_serve::protocol::{
 
 /// What each scalar value is replaced with: wrong types, out-of-range and
 /// overflowing numbers, and empty containers.
-const REPLACEMENTS: [&str; 7] = [
+const REPLACEMENTS: [&str; 9] = [
     "null",
     "-1",
     "1e400",
+    "1e999",
+    "-1e999",
     "18446744073709551616",
     "\"x\"",
     "[]",
@@ -137,12 +139,14 @@ fn check_rejection(rejection: &Rejection) -> Result<(), String> {
     Ok(())
 }
 
-/// True when a parsed body carries a NaN where a request number belongs:
-/// a `null` there must be refused, not read as NaN.
-fn carries_nan(body: &RequestBody) -> bool {
+/// True when a parsed body carries a non-finite number where a request
+/// number belongs: a `null` (read as NaN) or an overflowing literal (read
+/// as ±inf) there must be refused.
+fn carries_non_finite(body: &RequestBody) -> bool {
+    let bad = |x: f64| !x.is_finite();
     match body {
         RequestBody::Simulate { config, .. } | RequestBody::Predict { config, .. } => {
-            config.distance.meters().is_nan()
+            bad(config.distance.meters())
         }
         RequestBody::Tune {
             constraints,
@@ -153,18 +157,18 @@ fn carries_nan(body: &RequestBody) -> bool {
             constraints,
             distance_m,
             ..
-        } => distance_m.is_some_and(f64::is_nan) || constraints.iter().any(|(_, max)| max.is_nan()),
-        RequestBody::Pareto { distance_m, .. } => distance_m.is_some_and(f64::is_nan),
+        } => distance_m.is_some_and(bad) || constraints.iter().any(|(_, max)| bad(*max)),
+        RequestBody::Pareto { distance_m, .. } => distance_m.is_some_and(bad),
         RequestBody::Scenario {
             timeline: Some(TimelineSpec::Inline(timeline)),
             ..
         } => timeline.events().iter().any(|e| {
-            e.t_s.is_nan()
+            bad(e.t_s)
                 || match e.action {
                     TopologyAction::Move { sender, receiver } => {
                         [sender.x_m, sender.y_m, receiver.x_m, receiver.y_m]
-                            .iter()
-                            .any(|c| c.is_nan())
+                            .into_iter()
+                            .any(bad)
                     }
                     _ => false,
                 }
@@ -178,12 +182,14 @@ fn check(input: &str) -> Result<(), String> {
     let first = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
     let second = catch_unwind(|| parse_request(input)).map_err(|_| "parse panicked".to_string())?;
     // Compared with `==`: no accepted request carries a NaN (the
-    // `carries_nan` check below), so equal parses compare equal.
+    // `carries_non_finite` check below), so equal parses compare equal.
     if first != second {
         return Err(format!("nondeterministic: {first:?} vs {second:?}"));
     }
     match first {
-        Ok(request) if carries_nan(&request.body) => Err(format!("NaN parsed: {request:?}")),
+        Ok(request) if carries_non_finite(&request.body) => {
+            Err(format!("non-finite number parsed: {request:?}"))
+        }
         Ok(request) => catch_unwind(|| cache_key(&request.body))
             .map(drop)
             .map_err(|_| "cache_key panicked".to_string()),

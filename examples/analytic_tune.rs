@@ -16,75 +16,60 @@
 
 use std::time::Instant;
 
+use wsn_linkconf::analytic::runner::EngineRunner;
 use wsn_linkconf::experiments::campaign::{Campaign, Scale};
 use wsn_linkconf::experiments::sweep::case_study_channel;
 use wsn_linkconf::experiments::table04;
 use wsn_linkconf::link::traffic::TrafficModel;
-use wsn_linkconf::sim::mode::EngineMode;
+use wsn_linkconf::models::optimize::GridScan;
 
 fn main() {
     // The Table IV search space: the paper grid's power × payload ×
     // retry axes, pinned to the case-study distance and load.
     let grid = table04::joint_grid();
-    let candidates: Vec<_> = grid.iter().collect();
     println!(
         "case study: shadowed 35 m link, {} candidate configurations",
-        candidates.len()
+        grid.len()
     );
 
-    // 1. Analytic pre-scan: rank every candidate in closed form under a
-    //    backlogged sender (the case study is a bulk transfer).
-    let campaign = Campaign::new(Scale::Quick)
-        .with_channel(case_study_channel())
-        .with_traffic(TrafficModel::Saturating)
-        .with_engine(EngineMode::Analytic);
+    // 1. Analytic pre-scan under a backlogged sender (the case study is a
+    //    bulk transfer), solving the paper's joint formulation: max
+    //    goodput subject to energy within 20 % of the best energy
+    //    anywhere on the grid.
+    let runner = EngineRunner::new(case_study_channel(), TrafficModel::Saturating);
+    let scan = runner.analytic_scan(Scale::Quick.packets());
     let t0 = Instant::now();
-    let scanned = campaign.run_configs(&candidates);
-    let scan = t0.elapsed();
+    let Ok(pick) = scan.joint_energy_goodput(&grid, 1.2);
+    let elapsed = t0.elapsed();
     println!(
         "analytic pre-scan: {} configs in {:.1} ms ({:.1} µs/config)",
-        scanned.len(),
-        scan.as_secs_f64() * 1e3,
-        scan.as_secs_f64() * 1e6 / scanned.len() as f64,
+        grid.len(),
+        elapsed.as_secs_f64() * 1e3,
+        elapsed.as_secs_f64() * 1e6 / grid.len() as f64,
     );
-
-    // 2. The paper's joint formulation: max goodput subject to energy
-    //    within 20 % of the best energy anywhere on the grid.
-    let best_energy = scanned
-        .iter()
-        .map(|r| r.metrics.u_eng_uj_per_bit)
-        .filter(|u| u.is_finite())
-        .fold(f64::INFINITY, f64::min);
-    let winner = scanned
-        .iter()
-        .filter(|r| r.metrics.u_eng_uj_per_bit <= best_energy * 1.2)
-        .max_by(|a, b| {
-            a.metrics
-                .goodput_bps
-                .partial_cmp(&b.metrics.goodput_bps)
-                .expect("finite goodput")
-        })
-        .expect("the case-study grid has feasible points");
+    let config = pick.expect("the case-study grid has feasible points");
+    // A memo hit: the scan already evaluated the winner.
+    let metrics = scan.metrics(config);
     println!(
         "\nanalytic pick: Ptx={}, lD={} B, NmaxTries={}",
-        winner.config.power.level(),
-        winner.config.payload.bytes(),
-        winner.config.max_tries.get(),
+        config.power.level(),
+        config.payload.bytes(),
+        config.max_tries.get(),
     );
     println!(
         "  predicted: {:.2} kb/s at {:.3} µJ/bit",
-        winner.metrics.goodput_bps / 1e3,
-        winner.metrics.u_eng_uj_per_bit,
+        metrics.goodput_bps / 1e3,
+        metrics.u_eng_uj_per_bit,
     );
     println!("  paper's joint row (Table IV): Ptx=31, lD=68 B, N=3 — 22.28 kb/s at 0.24 µJ/bit");
 
-    // 3. Cross-check: only the winner is re-simulated, through the golden
+    // 2. Cross-check: only the winner is re-simulated, through the golden
     //    event-driven engine.
     let golden = Campaign::new(Scale::Quick)
         .with_channel(case_study_channel())
         .with_traffic(TrafficModel::Saturating);
     let t0 = Instant::now();
-    let simulated = &golden.run_configs(&[winner.config])[0];
+    let simulated = &golden.run_configs(&[config])[0];
     let sim = t0.elapsed();
     println!(
         "\ngolden cross-check of the winner ({:.0} ms): {:.2} kb/s at {:.3} µJ/bit",
@@ -96,11 +81,8 @@ fn main() {
     println!(
         "  deviation: goodput {:.1} %, energy {:.1} % — the pre-scan ranked \
          {} candidates for less than the cost of simulating this one",
-        rel(winner.metrics.goodput_bps, simulated.metrics.goodput_bps) * 100.0,
-        rel(
-            winner.metrics.u_eng_uj_per_bit,
-            simulated.metrics.u_eng_uj_per_bit
-        ) * 100.0,
-        scanned.len(),
+        rel(metrics.goodput_bps, simulated.metrics.goodput_bps) * 100.0,
+        rel(metrics.u_eng_uj_per_bit, simulated.metrics.u_eng_uj_per_bit) * 100.0,
+        grid.len(),
     );
 }
