@@ -10,9 +10,12 @@
 //! Sharding bounds lock contention: a key hashes (FNV-1a) to one of N
 //! independently locked shards, so concurrent workers only serialize when
 //! they touch the same shard. Each shard holds at most
-//! [`ShardedCache::PER_SHARD_CAP`] entries; on overflow the shard is
-//! cleared wholesale (epoch eviction) — crude but O(1) amortized, and it
-//! keeps worst-case memory bounded without an LRU list on the hot path.
+//! [`ShardedCache::PER_SHARD_CAP`] entries and
+//! [`ShardedCache::PER_SHARD_BYTES`] bytes of keys and bodies; an insert
+//! that would pass either bound clears the shard wholesale first (epoch
+//! eviction) — crude but O(1) amortized, and it keeps worst-case memory
+//! bounded without an LRU list on the hot path. A single entry larger than
+//! the byte budget is not held at all.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +33,17 @@ pub(crate) fn fnv1a(key: &str) -> u64 {
     hash
 }
 
+/// One shard: its entries and the bytes of their keys and bodies.
+#[derive(Debug, Default)]
+struct Shard {
+    map: HashMap<String, Arc<String>>,
+    bytes: usize,
+}
+
 /// A fixed-shard map from canonical request keys to serialized results.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<HashMap<String, Arc<String>>>>,
+    shards: Vec<Mutex<Shard>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -43,11 +53,15 @@ impl ShardedCache {
     /// Entries one shard may hold before it is cleared.
     pub const PER_SHARD_CAP: usize = 4096;
 
+    /// Key and body bytes one shard may hold before it is cleared: the
+    /// entry cap at 2 KiB an entry, 8 MiB.
+    pub const PER_SHARD_BYTES: usize = Self::PER_SHARD_CAP * 2048;
+
     /// A cache with `shards` independently locked shards (min 1).
     pub fn new(shards: usize) -> Self {
         ShardedCache {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(Shard::default()))
                 .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -55,7 +69,7 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Arc<String>>> {
+    fn shard(&self, key: &str) -> &Mutex<Shard> {
         let idx = (fnv1a(key) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
@@ -64,6 +78,7 @@ impl ShardedCache {
         self.shard(key)
             .lock()
             .expect("cache shard")
+            .map
             .get(key)
             .cloned()
     }
@@ -91,24 +106,49 @@ impl ShardedCache {
         found
     }
 
-    /// Stores `value` under `key`, clearing the shard first if it is full.
-    /// Keys arrive in a pre-sized build buffer; the entry keeps only their
+    /// Stores `value` under `key`, clearing the shard first if the entry
+    /// would pass its entry cap or byte budget. An entry larger than the
+    /// whole budget is dropped instead, leaving the shard as it was. Keys
+    /// arrive in a pre-sized build buffer; the entry keeps only their
     /// bytes.
     pub fn insert(&self, mut key: String, value: Arc<String>) {
-        key.shrink_to_fit();
-        let mut shard = self.shard(&key).lock().expect("cache shard");
-        if shard.len() >= Self::PER_SHARD_CAP && !shard.contains_key(&key) {
-            shard.clear();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let size = key.len() + value.len();
+        if size > Self::PER_SHARD_BYTES {
+            return;
         }
-        shard.insert(key, value);
+        key.shrink_to_fit();
+        let key_len = key.len();
+        let mut shard = self.shard(&key).lock().expect("cache shard");
+        if shard.map.len() >= Self::PER_SHARD_CAP || shard.bytes + size > Self::PER_SHARD_BYTES {
+            // Only replacing an entry in place may stay within the bounds.
+            let fits = shard.map.get(&key).is_some_and(|old| {
+                shard.bytes - (key_len + old.len()) + size <= Self::PER_SHARD_BYTES
+            });
+            if !fits {
+                shard.map.clear();
+                shard.bytes = 0;
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        shard.bytes += size;
+        if let Some(old) = shard.map.insert(key, value) {
+            shard.bytes -= key_len + old.len();
+        }
     }
 
     /// Total entries across all shards.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard").len())
+            .map(|s| s.lock().expect("cache shard").map.len())
+            .sum()
+    }
+
+    /// Key and body bytes held across all shards.
+    pub fn bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().expect("cache shard").bytes)
             .sum()
     }
 
@@ -140,8 +180,9 @@ impl ShardedCache {
             .iter()
             .map(|s| {
                 let mut shard = s.lock().expect("cache shard");
-                let dropped = shard.len();
-                shard.clear();
+                let dropped = shard.map.len();
+                shard.map.clear();
+                shard.bytes = 0;
                 dropped
             })
             .sum()
@@ -205,6 +246,38 @@ mod tests {
     }
 
     #[test]
+    fn large_bodies_evict_on_bytes_before_the_entry_cap() {
+        let cache = ShardedCache::new(1);
+        // 64 KiB bodies: the 8 MiB budget holds 127 of them with their
+        // keys, far below the 4,096-entry cap.
+        let body = Arc::new("x".repeat(64 << 10));
+        let mut inserted = 0;
+        while cache.evictions() == 0 {
+            cache.insert(format!("key-{inserted:03}"), Arc::clone(&body));
+            inserted += 1;
+        }
+        assert_eq!(inserted, 128);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes(), 7 + body.len());
+        assert!(cache.get("key-127").is_some());
+        // Replacing an entry in place keeps the shard and its byte count.
+        cache.insert("key-127".into(), Arc::clone(&body));
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
+        assert_eq!(cache.bytes(), 7 + body.len());
+    }
+
+    #[test]
+    fn an_entry_larger_than_the_budget_is_not_held() {
+        let cache = ShardedCache::new(1);
+        cache.insert("small".into(), Arc::new("1".into()));
+        let huge = Arc::new("x".repeat(ShardedCache::PER_SHARD_BYTES));
+        cache.insert("huge".into(), huge);
+        assert!(cache.get("huge").is_none());
+        assert!(cache.get("small").is_some(), "the shard is left as it was");
+        assert_eq!((cache.bytes(), cache.evictions()), (6, 0));
+    }
+
+    #[test]
     fn flush_drops_entries_but_keeps_lifetime_counters() {
         let cache = ShardedCache::new(4);
         cache.insert("a".into(), Arc::new("1".into()));
@@ -212,6 +285,7 @@ mod tests {
         assert!(cache.get("a").is_some());
         assert_eq!(cache.flush(), 2);
         assert!(cache.is_empty());
+        assert_eq!(cache.bytes(), 0);
         assert!(cache.get("a").is_none());
         // One hit and one miss from before/after the flush both persist.
         assert_eq!(cache.hits(), 1);

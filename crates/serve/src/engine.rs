@@ -20,7 +20,7 @@
 //! step that could reorder fields or reformat floats. Error results and
 //! live ops (`stats`, `shutdown`) are never cached.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -201,12 +201,21 @@ fn scan_grid(distance_m: Option<f64>) -> Result<ParamGrid, ExecError> {
     Ok(grid)
 }
 
+thread_local! {
+    /// Per-thread scratch for [`render`]: it keeps the largest body this
+    /// thread has rendered, so serializing grows no buffer in steady state.
+    static RENDER_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
 /// Serializes a result body as compact JSON (the vendored writer cannot
-/// fail).
+/// fail) into an exact-size `String`: capacity equals length, so a cached
+/// body holds only its own bytes and not a doubled growth buffer.
 fn render(value: &impl Serialize) -> String {
-    let mut out = String::with_capacity(256);
-    value.serialize(&mut serde::Writer::compact(&mut out));
-    out
+    RENDER_BUF.with_borrow_mut(|buf| {
+        buf.clear();
+        value.serialize(&mut serde::Writer::compact(buf));
+        buf.as_str().to_owned()
+    })
 }
 
 /// The `result` body of a `shutdown` request.
@@ -375,6 +384,8 @@ struct CacheTierMem {
     misses: u64,
     hit_rate: f64,
     evictions: u64,
+    /// Key and body bytes held.
+    bytes: u64,
 }
 
 /// The disk tier of a `cache` op result. All-zero with `enabled:false`
@@ -691,6 +702,7 @@ impl Engine {
                             hits as f64 / lookups as f64
                         },
                         evictions: self.cache.evictions(),
+                        bytes: self.cache.bytes() as u64,
                     },
                     disk,
                     flushed: *flush,
@@ -1210,13 +1222,15 @@ mod tests {
         let dir = temp_store_dir("cacheop");
         let engine = Engine::new(4).with_store(Store::open(&dir).expect("store"));
         let sim = body(r#"{"op":"simulate","packets":40}"#);
-        engine.execute(&sim).unwrap();
+        let answer = engine.execute(&sim).unwrap();
         engine.execute(&sim).unwrap();
 
         let report = engine.execute(&body(r#"{"op":"cache"}"#)).unwrap();
         assert!(!report.cached, "cache op must never be cached");
         let v = serde_json::parse(&report.body).unwrap();
         assert_eq!(v.field("mem").field("entries").as_u64(), Some(1));
+        let held = cache_key(&sim).unwrap().len() + answer.body.len();
+        assert_eq!(v.field("mem").field("bytes").as_u64(), Some(held as u64));
         assert_eq!(v.field("mem").field("hits").as_u64(), Some(1));
         assert_eq!(v.field("disk").field("enabled").as_bool(), Some(true));
         assert_eq!(v.field("disk").field("records").as_u64(), Some(1));
@@ -1231,6 +1245,7 @@ mod tests {
         assert_eq!(v.field("flushed").as_bool(), Some(true));
         assert_eq!(v.field("flushed_entries").as_u64(), Some(1));
         assert_eq!(v.field("mem").field("entries").as_u64(), Some(0));
+        assert_eq!(v.field("mem").field("bytes").as_u64(), Some(0));
         // The disk tier is immutable under flush: the record survives,
         // and the next lookup is a disk-warm hit.
         assert_eq!(v.field("disk").field("records").as_u64(), Some(1));
@@ -1287,6 +1302,7 @@ mod tests {
         let answer = engine.execute(&sim).unwrap();
         assert!(answer.cached, "warmed entry must hit");
         assert_eq!(answer.body.as_str(), live);
+        assert_eq!(answer.body.capacity(), answer.body.len(), "exact-size");
         std::fs::remove_dir_all(&dir).ok();
     }
 

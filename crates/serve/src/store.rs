@@ -8,6 +8,11 @@
 //! hash index maps key hashes to record locations, so a lookup is one
 //! `pread` plus a key verification — no seeks through cold segments.
 //!
+//! The index is packed: each hash holds one 16-byte location in a flat
+//! map, with no allocation of its own. Only a hash that has seen more than
+//! one record — a re-appended key, or two keys with one FNV hash — keeps
+//! its older locations in a side map.
+//!
 //! Crash safety is by construction: the only mutation is an append, so
 //! the only possible corruption is a torn tail on the *last* segment. On
 //! open, a trailing record that fails to parse (or lacks its newline) is
@@ -40,24 +45,50 @@ struct StoreRecord {
     v: String,
 }
 
-/// Where a record lives: segment ordinal, byte offset, line length
-/// (including the trailing newline).
+/// Where a record lives: byte offset, segment ordinal, line length
+/// (including the trailing newline). 16 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
-    seg: usize,
     off: u64,
+    seg: u32,
     len: u32,
+}
+
+/// Unit tests fold every key into four index hashes, so each store test
+/// also walks the path where distinct keys share a hash.
+const INDEX_HASH_MASK: u64 = if cfg!(test) { 0b11 } else { u64::MAX };
+
+/// The index hash of `key`.
+fn index_hash(key: &str) -> u64 {
+    fnv1a(key) & INDEX_HASH_MASK
+}
+
+/// Record locations by index hash.
+#[derive(Debug, Default)]
+struct Index {
+    /// The newest location of every hash.
+    newest: HashMap<u64, Loc>,
+    /// Superseded locations, oldest first — only for hashes that have
+    /// seen more than one record.
+    older: HashMap<u64, Vec<Loc>>,
+}
+
+impl Index {
+    fn push(&mut self, hash: u64, loc: Loc) {
+        if let Some(prev) = self.newest.insert(hash, loc) {
+            self.older.entry(hash).or_default().push(prev);
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
-    /// FNV-64 of the key → locations, oldest first.
-    index: HashMap<u64, Vec<Loc>>,
+    index: Index,
     /// One shared read handle per segment, ordinal order.
     readers: Vec<Arc<File>>,
     /// Append handle for the last segment.
     active: File,
-    active_seg: usize,
+    active_seg: u32,
     active_len: u64,
     records: u64,
     total_bytes: u64,
@@ -93,7 +124,7 @@ pub struct Store {
     appends: AtomicU64,
 }
 
-fn segment_name(seg: usize) -> String {
+fn segment_name(seg: u32) -> String {
     format!("seg-{seg:05}.jsonl")
 }
 
@@ -113,14 +144,14 @@ impl Store {
     /// segment rolling is exercised without 4 MiB fixtures.
     pub fn open_with_roll(dir: &Path, roll_bytes: u64) -> std::io::Result<Store> {
         std::fs::create_dir_all(dir)?;
-        let mut segs: Vec<usize> = Vec::new();
+        let mut segs: Vec<u32> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
             if let Some(ord) = name
                 .strip_prefix("seg-")
                 .and_then(|s| s.strip_suffix(".jsonl"))
-                .and_then(|s| s.parse::<usize>().ok())
+                .and_then(|s| s.parse::<u32>().ok())
             {
                 segs.push(ord);
             }
@@ -130,7 +161,7 @@ impl Store {
             segs.push(0);
             File::create(dir.join(segment_name(0)))?;
         }
-        for (i, &ord) in segs.iter().enumerate() {
+        for (i, &ord) in (0u32..).zip(&segs) {
             if i != ord {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
@@ -142,8 +173,8 @@ impl Store {
             }
         }
 
-        let last = segs.len() - 1;
-        let mut index: HashMap<u64, Vec<Loc>> = HashMap::new();
+        let last = *segs.last().expect("segment 0 exists");
+        let mut index = Index::default();
         let mut readers = Vec::with_capacity(segs.len());
         let mut records = 0u64;
         let mut total_bytes = 0u64;
@@ -152,25 +183,18 @@ impl Store {
             let path = dir.join(segment_name(seg));
             let mut raw = Vec::new();
             File::open(&path)?.read_to_end(&mut raw)?;
-            let keep = index_segment(&mut index, seg, &raw, &mut records).map_err(|line| {
+            // A torn tail is expected after a crash; a complete line that
+            // does not parse is not, in any segment.
+            let keep = index_segment(&mut index, seg, &raw, &mut records).map_err(|off| {
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
                     format!(
-                        "store {}: malformed record at byte {line} of non-tail segment {}",
+                        "store {}: malformed record at byte {off} of segment {}",
                         dir.display(),
                         segment_name(seg)
                     ),
                 )
-            });
-            let keep = match keep {
-                Ok(keep) => keep,
-                Err(e) if seg == last => {
-                    // A torn tail is expected after a crash; anything
-                    // unparseable before the tail is not.
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            };
+            })?;
             if keep < raw.len() as u64 {
                 if seg == last {
                     OpenOptions::new().write(true).open(&path)?.set_len(keep)?;
@@ -214,34 +238,27 @@ impl Store {
     }
 
     /// Looks up the newest body stored under `key`, verifying the key
-    /// match on the record itself (the index is only a hash).
+    /// match on the record itself (the index is only a hash). The body
+    /// comes back exact-size, ready to be held by the memory tier.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<String> {
-        let hash = fnv1a(key);
-        let candidates: Vec<(Arc<File>, Loc)> = {
+        let hash = index_hash(key);
+        // Newest first; nothing is allocated unless the hash is indexed.
+        let mut candidates = Vec::new();
+        {
             let inner = self.inner.lock().expect("store lock");
-            match inner.index.get(&hash) {
-                Some(locs) => locs
-                    .iter()
-                    .rev()
-                    .map(|&loc| (Arc::clone(&inner.readers[loc.seg]), loc))
-                    .collect(),
-                None => Vec::new(),
+            let at = |&loc: &Loc| (Arc::clone(&inner.readers[loc.seg as usize]), loc);
+            if let Some(newest) = inner.index.newest.get(&hash) {
+                candidates.push(at(newest));
+                if let Some(older) = inner.index.older.get(&hash) {
+                    candidates.extend(older.iter().rev().map(at));
+                }
             }
-        };
+        }
         for (file, loc) in candidates {
-            let mut buf = vec![0u8; loc.len as usize];
-            if file.read_exact_at(&mut buf, loc.off).is_err() {
-                continue;
-            }
-            let Ok(text) = std::str::from_utf8(&buf) else {
-                continue;
-            };
-            let Ok(record) = serde_json::from_str::<StoreRecord>(text.trim_end()) else {
-                continue;
-            };
-            if record.k == key {
+            if let Some(mut record) = read_record(&file, loc).filter(|r| r.k == key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                record.v.shrink_to_fit();
                 return Some(record.v);
             }
         }
@@ -274,6 +291,12 @@ impl Store {
         w.str(body);
         w.end_object();
         line.push('\n');
+        let len = u32::try_from(line.len()).map_err(|_| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "store record longer than 4 GiB",
+            )
+        })?;
 
         let mut inner = self.inner.lock().expect("store lock");
         if inner.active_len > 0 && inner.active_len + line.len() as u64 > self.roll_bytes {
@@ -285,15 +308,15 @@ impl Store {
             inner.active_len = 0;
         }
         let loc = Loc {
-            seg: inner.active_seg,
             off: inner.active_len,
-            len: line.len() as u32,
+            seg: inner.active_seg,
+            len,
         };
         inner.active.write_all(line.as_bytes())?;
         inner.active_len += line.len() as u64;
         inner.total_bytes += line.len() as u64;
         inner.records += 1;
-        inner.index.entry(fnv1a(key)).or_default().push(loc);
+        inner.index.push(index_hash(key), loc);
         self.appends.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -313,16 +336,20 @@ impl Store {
     }
 }
 
+/// Reads and parses the record at `loc`; `None` when the read fails or
+/// the bytes are not a record.
+fn read_record(file: &File, loc: Loc) -> Option<StoreRecord> {
+    let mut buf = vec![0u8; loc.len as usize];
+    file.read_exact_at(&mut buf, loc.off).ok()?;
+    let text = std::str::from_utf8(&buf).ok()?;
+    serde_json::from_str(text.trim_end()).ok()
+}
+
 /// Indexes one segment's raw bytes, returning how many bytes form whole,
 /// valid records (the durable prefix). A malformed *complete* line is an
 /// error carrying its byte offset; an incomplete tail line just ends the
 /// durable prefix.
-fn index_segment(
-    index: &mut HashMap<u64, Vec<Loc>>,
-    seg: usize,
-    raw: &[u8],
-    records: &mut u64,
-) -> Result<u64, u64> {
+fn index_segment(index: &mut Index, seg: u32, raw: &[u8], records: &mut u64) -> Result<u64, u64> {
     let mut off = 0usize;
     while off < raw.len() {
         let Some(nl) = raw[off..].iter().position(|&b| b == b'\n') else {
@@ -332,14 +359,17 @@ fn index_segment(
         let parsed = std::str::from_utf8(line)
             .ok()
             .and_then(|text| serde_json::from_str::<StoreRecord>(text).ok());
-        let Some(record) = parsed else {
+        let (Some(record), Ok(len)) = (parsed, u32::try_from(nl + 1)) else {
             return Err(off as u64);
         };
-        index.entry(fnv1a(&record.k)).or_default().push(Loc {
-            seg,
-            off: off as u64,
-            len: (nl + 1) as u32,
-        });
+        index.push(
+            index_hash(&record.k),
+            Loc {
+                off: off as u64,
+                seg,
+                len,
+            },
+        );
         *records += 1;
         off += nl + 1;
     }
@@ -422,6 +452,11 @@ mod tests {
         std::fs::write(&path, bad).expect("write");
         let err = Store::open(&dir).expect_err("corrupt mid-segment must fail");
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.ends_with("malformed record at byte 0 of segment seg-00000.jsonl"),
+            "{msg}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -451,10 +486,152 @@ mod tests {
     #[test]
     fn last_wins_when_a_key_is_appended_twice() {
         let dir = temp_dir("lastwins");
-        let store = Store::open(&dir).expect("open");
-        store.append("k", "old").expect("append");
-        store.append("k", "new").expect("append");
+        {
+            let store = Store::open(&dir).expect("open");
+            store.append("k", "old").expect("append");
+            store.append("k", "new").expect("append");
+            assert_eq!(store.get("k").as_deref(), Some("new"));
+        }
+        let store = Store::open(&dir).expect("reopen");
         assert_eq!(store.get("k").as_deref(), Some("new"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn keys_sharing_an_index_hash_each_answer_their_own_newest_body() {
+        let dir = temp_dir("collide");
+        let a = "sim|d:0001|n:400";
+        let b = (0..)
+            .map(|i| format!("sim|d:0002|n:{i}"))
+            .find(|b| index_hash(b) == index_hash(a))
+            .expect("the test mask leaves four hashes");
+        assert_ne!(fnv1a(a), fnv1a(&b), "distinct keys, one index hash");
+        let check = |store: &Store| {
+            assert_eq!(store.get(a).as_deref(), Some("a-new"));
+            assert_eq!(store.get(&b).as_deref(), Some("b"));
+        };
+        {
+            let store = Store::open(&dir).expect("open");
+            store.append(a, "a-old").expect("append");
+            store.append(&b, "b").expect("append");
+            store.append(a, "a-new").expect("append");
+            check(&store);
+        }
+        let store = Store::open(&dir).expect("reopen");
+        check(&store);
+        assert_eq!(store.stats().records, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Appends `n` records across segments of at most 160 bytes and
+    /// returns their (key, body) pairs with each segment's bytes.
+    fn write_fixture(dir: &Path, n: usize) -> (Vec<(String, String)>, Vec<Vec<u8>>) {
+        let records: Vec<(String, String)> = (0..n)
+            .map(|i| {
+                (
+                    format!("sim|k:{i}"),
+                    format!("{{\"i\":{i},\"s\":\"\u{e9}\\\"\"}}"),
+                )
+            })
+            .collect();
+        let store = Store::open_with_roll(dir, 160).expect("open");
+        for (key, body) in &records {
+            store.append(key, body).expect("append");
+        }
+        let segments = (0..store.stats().segments as u32)
+            .map(|seg| std::fs::read(dir.join(segment_name(seg))).expect("read segment"))
+            .collect();
+        (records, segments)
+    }
+
+    /// Byte offsets at which each line of `raw` starts, plus its end.
+    fn line_starts(raw: &[u8]) -> Vec<usize> {
+        let mut starts = vec![0];
+        starts.extend(
+            raw.iter()
+                .enumerate()
+                .filter(|&(_, &b)| b == b'\n')
+                .map(|(i, _)| i + 1),
+        );
+        starts
+    }
+
+    fn rewrite(dir: &Path, segments: &[Vec<u8>]) {
+        std::fs::remove_dir_all(dir).ok();
+        std::fs::create_dir_all(dir).expect("create");
+        for (seg, raw) in (0u32..).zip(segments) {
+            std::fs::write(dir.join(segment_name(seg)), raw).expect("write segment");
+        }
+    }
+
+    #[test]
+    fn truncating_the_last_segment_anywhere_in_its_last_two_records_keeps_the_whole_prefix() {
+        let dir = temp_dir("truncate");
+        let (records, segments) = write_fixture(&dir, 8);
+        let (last_raw, earlier) = segments.split_last().expect("segments");
+        assert!(!earlier.is_empty(), "the fixture spans segments");
+        let starts = line_starts(last_raw);
+        assert!(starts.len() >= 3, "the last segment holds two records");
+        let in_earlier: usize = earlier.iter().map(|raw| line_starts(raw).len() - 1).sum();
+        let last_seg = earlier.len() as u32;
+        for cut in starts[starts.len() - 3]..=last_raw.len() {
+            let mut damaged = segments.clone();
+            damaged[last_seg as usize].truncate(cut);
+            rewrite(&dir, &damaged);
+            // Whole lines at or before the cut survive.
+            let whole = starts.iter().filter(|&&s| s > 0 && s <= cut).count();
+            let prefix = starts[whole];
+            let store = Store::open_with_roll(&dir, 160).expect("reopen");
+            let kept = in_earlier + whole;
+            assert_eq!(store.stats().records, kept as u64, "cut {cut}");
+            for (i, (key, body)) in records.iter().enumerate() {
+                let want = (i < kept).then_some(body.as_str());
+                assert_eq!(store.get(key).as_deref(), want, "cut {cut} key {key}");
+            }
+            // The next append lands right after the durable prefix.
+            store.append("next", "{}").expect("append");
+            let raw = std::fs::read(dir.join(segment_name(last_seg))).expect("read");
+            assert_eq!(&raw[..prefix], &last_raw[..prefix], "cut {cut}");
+            assert_eq!(
+                &raw[prefix..],
+                b"{\"k\":\"next\",\"v\":\"{}\"}\n",
+                "cut {cut}"
+            );
+            assert_eq!(store.get("next").as_deref(), Some("{}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_corrupt_earlier_record_fails_the_open_naming_segment_and_byte() {
+        let dir = temp_dir("corrupt-any");
+        let (_, segments) = write_fixture(&dir, 8);
+        let last_seg = segments.len() - 1;
+        for (seg, raw) in segments.iter().enumerate() {
+            let starts = line_starts(raw);
+            // Every record but the very last one of the store.
+            let lines = starts.len() - 1 - usize::from(seg == last_seg);
+            for line in 0..lines {
+                let (start, end) = (starts[line], starts[line + 1]);
+                let mid = (start + end) / 2;
+                let mut bad_utf8 = raw.clone();
+                bad_utf8[mid] = 0xff;
+                let mut split = raw.clone();
+                split.insert(mid, b'\n');
+                for corrupt in [bad_utf8, split] {
+                    let mut damaged = segments.clone();
+                    damaged[seg] = corrupt;
+                    rewrite(&dir, &damaged);
+                    let err = Store::open(&dir).expect_err("corruption must fail the open");
+                    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+                    let want = format!(
+                        "malformed record at byte {start} of segment {}",
+                        segment_name(seg as u32)
+                    );
+                    assert!(err.to_string().ends_with(&want), "{err}");
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
