@@ -72,10 +72,11 @@
 //!
 //! Every failure path funnels through one [`CliError`] enum, so the exit
 //! code mapping lives in exactly one place: `0` success, `1` generic
-//! failure (bad or unknown flags, failed verify claims, malformed
-//! timeline files), `2` unknown experiment, scenario, or timeline id, `3`
-//! I/O error (including an unreadable timeline file), `4` query-service
-//! failure (bind error or a fatal socket error in the accept loop).
+//! failure (bad or unknown flags, a flag the subcommand does not read,
+//! failed verify claims, malformed timeline files), `2` unknown
+//! experiment, scenario, or timeline id, `3` I/O error (including an
+//! unreadable timeline file), `4` query-service failure (bind error or a
+//! fatal socket error in the accept loop).
 
 use std::fmt;
 use std::io::Write;
@@ -142,6 +143,58 @@ impl From<ServeError> for CliError {
     }
 }
 
+/// The flags each subcommand reads, as `usage` prints them, in dispatch
+/// order: the first of these words on the command line picks the
+/// subcommand. Any other words are experiment ids (or `all`), which read
+/// [`EXPERIMENT_FLAGS`]. A flag the chosen subcommand does not read is
+/// refused; `-h`/`--help` is accepted everywhere.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("scenario", "[--full] [--out DIR]"),
+    (
+        "timeline",
+        "[--full] [--engine golden|fast] [--out DIR] [--log PATH]",
+    ),
+    (
+        "serve",
+        "[--addr HOST:PORT] [--threads N] [--access-log PATH] [--slow-ms N] \
+         [--store DIR] [--warm-from-campaign DIR]",
+    ),
+    (
+        "loadgen",
+        "[--duration SECS] [--connections N] [--senders N] [--rate RPS] \
+         [--arrivals poisson|fixed] [--addr HOST:PORT] [--json PATH] [--label STR]",
+    ),
+    ("list", ""),
+    ("bench", "[--json PATH] [--quick-bench]"),
+    (
+        "campaign",
+        "[--full] [--engine golden|fast|analytic] [--out DIR] [--resume] \
+         [--shards N] [--log PATH]",
+    ),
+    ("verify", "[--full]"),
+    ("dataset", "[--full] [--out DIR]"),
+];
+
+/// The flags an experiment run (`repro all`, `repro fig06 …`) reads.
+const EXPERIMENT_FLAGS: &str = "[--full] [--out DIR]";
+
+/// The flag names in a [`COMMAND_FLAGS`] spelling, without their values.
+fn flag_names(flags: &str) -> impl Iterator<Item = &str> {
+    flags
+        .split('[')
+        .filter_map(|f| f.split([' ', ']']).next())
+        .filter(|f| !f.is_empty())
+}
+
+/// The subcommand `selections` names — its position there, its name and
+/// the flags it reads — or `None` for a run of experiment ids.
+fn find_command(selections: &[String]) -> Option<(usize, &'static str, &'static str)> {
+    COMMAND_FLAGS.iter().find_map(|&(name, flags)| {
+        let pos = selections.iter().position(|s| s == name)?;
+        Some((pos, name, flags))
+    })
+}
+
 fn usage() -> String {
     let ids: Vec<&str> = all_experiments().iter().map(|(n, _)| *n).collect();
     let scenario_ids: Vec<&str> = wsn_experiments::scenarios::all_scenarios()
@@ -152,23 +205,24 @@ fn usage() -> String {
         .iter()
         .map(|(n, _)| *n)
         .collect();
-    format!(
-        "usage: repro <all|list|campaign|scenario|timeline|serve|loadgen|verify|dataset|bench|ID...> \
-         [--full] [--engine golden|fast|analytic] [--out DIR] [--resume] [--shards N] \
-         [--log PATH] [--json PATH] [--quick-bench] [--addr HOST:PORT] [--threads N] \
-         [--access-log PATH] [--slow-ms N] [--store DIR] \
-         [--warm-from-campaign DIR] \
-         [--duration SECS] [--connections N] [--senders N] [--rate RPS] \
-         [--arrivals poisson|fixed] [--label STR]\n  \
-         ids: {}\n  scenario ids: {}\n  timeline ids: {} (or a ScenarioTimeline JSON file)\n  \
+    let mut text = String::from("usage:");
+    for (command, flags) in COMMAND_FLAGS
+        .iter()
+        .chain([&("<all|ID...>", EXPERIMENT_FLAGS)])
+    {
+        text.push_str(format!("\n  repro {command} {flags}").trim_end());
+    }
+    text.push_str(&format!(
+        "\n  ids: {}\n  scenario ids: {}\n  timeline ids: {} (or a ScenarioTimeline JSON file)\n  \
          exit codes: 0 ok, 1 failure, 2 unknown id, 3 I/O error, 4 serve error",
         ids.join(", "),
         scenario_ids.join(", "),
         timeline_ids.join(", ")
-    )
+    ));
+    text
 }
 
-fn write_outputs(dir: &PathBuf, report: &Report) -> std::io::Result<()> {
+fn write_outputs(dir: &Path, report: &Report) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     std::fs::write(dir.join(format!("{}.txt", report.id)), report.render())?;
     let mut csv = String::new();
@@ -267,7 +321,8 @@ fn run_campaign(
     }
 
     // No output directory: stream results straight into the running
-    // summary with a live progress line — peak memory stays O(threads).
+    // summary with a live progress line — at most 2 × threads claims of
+    // `chunk` configs are held, whatever the engine.
     let mut summary = GridSummary::default();
     let configs: Vec<StackConfig> = grid.iter().collect();
     {
@@ -313,7 +368,7 @@ fn run_scenarios(
             start.elapsed().as_secs_f64()
         );
         if let Some(dir) = out_dir {
-            write_outputs(&dir.to_path_buf(), &report).map_err(|e| {
+            write_outputs(dir, &report).map_err(|e| {
                 CliError::Io(format!("failed to write outputs for scenario {id}: {e}"))
             })?;
         }
@@ -375,7 +430,7 @@ fn run_timeline(
         start.elapsed().as_secs_f64()
     );
     if let Some(dir) = out_dir {
-        write_outputs(&dir.to_path_buf(), &report)
+        write_outputs(dir, &report)
             .map_err(|e| CliError::Io(format!("failed to write timeline outputs: {e}")))?;
     }
     let _ = std::io::stdout().flush();
@@ -469,9 +524,13 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     let mut arrivals = Arrivals::Poisson;
     let mut label = String::new();
     let mut selections: Vec<String> = Vec::new();
+    let mut given: Vec<&str> = Vec::new();
 
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
+        if arg.starts_with('-') {
+            given.push(arg);
+        }
         match arg.as_str() {
             "--full" => scale = Scale::Full,
             "--engine" => match iter.next().and_then(|m| EngineMode::from_name(m)) {
@@ -586,108 +645,123 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         return Err(CliError::Usage("no command given".into()));
     }
 
-    if let Some(pos) = selections.iter().position(|s| s == "scenario") {
-        return run_scenarios(&selections[pos + 1..], scale, out_dir.as_deref());
+    let command = find_command(&selections);
+    let (name, reads) = match command {
+        Some((_, name, flags)) => (name, flags),
+        None => (selections[0].as_str(), EXPERIMENT_FLAGS),
+    };
+    if let Some(flag) = given
+        .iter()
+        .find(|&&flag| !flag_names(reads).any(|name| name == flag))
+    {
+        return Err(CliError::Usage(format!(
+            "`{flag}` does not apply to `repro {name}`"
+        )));
     }
 
-    if let Some(pos) = selections.iter().position(|s| s == "timeline") {
-        return run_timeline(
+    match command {
+        Some((pos, "scenario", _)) => {
+            run_scenarios(&selections[pos + 1..], scale, out_dir.as_deref())
+        }
+        Some((pos, "timeline", _)) => run_timeline(
             &selections[pos + 1..],
             scale,
             engine,
             out_dir.as_deref(),
             log_path.as_deref(),
-        );
-    }
-
-    if selections.iter().any(|s| s == "serve") {
-        return run_serve(addr, threads, access_log, slow_request_ms, store, warm_from);
-    }
-
-    if selections.iter().any(|s| s == "loadgen") {
-        let opts = LoadgenOptions {
-            duration: std::time::Duration::from_secs_f64(duration_s),
-            connections,
-            senders,
-            rate,
-            arrivals,
-            addr: addr_given.then_some(addr),
-            label,
-            ..LoadgenOptions::default()
-        };
-        return run_loadgen(&opts, json_path.as_deref());
-    }
-
-    if selections.iter().any(|s| s == "list") {
-        for (id, _) in all_experiments() {
-            println!("{id}");
+        ),
+        Some((_, "serve", _)) => {
+            run_serve(addr, threads, access_log, slow_request_ms, store, warm_from)
         }
-        return Ok(());
-    }
-
-    if selections.iter().any(|s| s == "bench") {
-        // `--quick-bench` shrinks the batches for CI smoke runs; the
-        // default sizing is what BENCH_campaign.json numbers come from.
-        let (reps, min_batch_s) = if quick_bench { (2, 0.2) } else { (5, 1.0) };
-        let report = wsn_experiments::perf::campaign_throughput(&[1, 4, 8], reps, min_batch_s);
-        print!("{}", report.render());
-        if let Some(path) = &json_path {
-            let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-            std::fs::write(path, json + "\n")
-                .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
-            println!("wrote {}", path.display());
+        Some((_, "loadgen", _)) => {
+            let opts = LoadgenOptions {
+                duration: std::time::Duration::from_secs_f64(duration_s),
+                connections,
+                senders,
+                rate,
+                arrivals,
+                addr: addr_given.then_some(addr),
+                label,
+                ..LoadgenOptions::default()
+            };
+            run_loadgen(&opts, json_path.as_deref())
         }
-        return Ok(());
-    }
-
-    if selections.iter().any(|s| s == "campaign") {
-        if resume && out_dir.is_none() {
-            return Err(CliError::Usage(
-                "--resume needs --out DIR (that's where the checkpoints live)".into(),
-            ));
-        }
-        let log = match &log_path {
-            Some(path) => EventLog::to_file(path)
-                .map_err(|e| CliError::Io(format!("cannot open {}: {e}", path.display())))?,
-            None => EventLog::disabled(),
-        };
-        return run_campaign(scale, engine, out_dir.as_deref(), resume, shards, &log);
-    }
-
-    if selections.iter().any(|s| s == "verify") {
-        let report = wsn_experiments::verify::run(scale);
-        print!("{}", report.render());
-        let failed = report.sections[0]
-            .table
-            .rows
-            .iter()
-            .filter(|r| r[0] == "FAIL")
-            .count();
-        return if failed == 0 {
+        Some((_, "list", _)) => {
+            for (id, _) in all_experiments() {
+                println!("{id}");
+            }
             Ok(())
-        } else {
-            Err(CliError::Failure(format!("{failed} claim(s) failed")))
-        };
+        }
+        Some((_, "bench", _)) => {
+            // `--quick-bench` shrinks the batches for CI smoke runs; the
+            // default sizing is what BENCH_campaign.json numbers come from.
+            let (reps, min_batch_s) = if quick_bench { (2, 0.2) } else { (5, 1.0) };
+            let report = wsn_experiments::perf::campaign_throughput(&[1, 4, 8], reps, min_batch_s);
+            print!("{}", report.render());
+            if let Some(path) = &json_path {
+                let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
+                std::fs::write(path, json + "\n")
+                    .map_err(|e| CliError::Io(format!("cannot write {}: {e}", path.display())))?;
+                println!("wrote {}", path.display());
+            }
+            Ok(())
+        }
+        Some((_, "campaign", _)) => {
+            if resume && out_dir.is_none() {
+                return Err(CliError::Usage(
+                    "--resume needs --out DIR (that's where the checkpoints live)".into(),
+                ));
+            }
+            let log = match &log_path {
+                Some(path) => EventLog::to_file(path)
+                    .map_err(|e| CliError::Io(format!("cannot open {}: {e}", path.display())))?,
+                None => EventLog::disabled(),
+            };
+            run_campaign(scale, engine, out_dir.as_deref(), resume, shards, &log)
+        }
+        Some((_, "verify", _)) => {
+            let report = wsn_experiments::verify::run(scale);
+            print!("{}", report.render());
+            let failed = report.sections[0]
+                .table
+                .rows
+                .iter()
+                .filter(|r| r[0] == "FAIL")
+                .count();
+            if failed == 0 {
+                Ok(())
+            } else {
+                Err(CliError::Failure(format!("{failed} claim(s) failed")))
+            }
+        }
+        Some((_, "dataset", _)) => {
+            let Some(dir) = &out_dir else {
+                return Err(CliError::Usage("dataset export needs --out DIR".into()));
+            };
+            std::fs::create_dir_all(dir)
+                .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
+            let path = dir.join("trace.csv");
+            let config = wsn_params::config::StackConfig::default();
+            let options = wsn_link_sim::simulation::SimOptions {
+                packets: scale.packets(),
+                ..wsn_link_sim::simulation::SimOptions::quick(scale.packets())
+            };
+            let n = wsn_experiments::dataset::export_to_file(config, options, &path)
+                .map_err(|e| CliError::Io(format!("dataset export failed: {e}")))?;
+            println!("wrote {n} per-packet records to {}", path.display());
+            Ok(())
+        }
+        Some((_, other, _)) => unreachable!("`{other}` has a COMMAND_FLAGS entry but no runner"),
+        None => run_experiments(selections, scale, out_dir.as_deref()),
     }
+}
 
-    if selections.iter().any(|s| s == "dataset") {
-        let Some(dir) = &out_dir else {
-            return Err(CliError::Usage("dataset export needs --out DIR".into()));
-        };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| CliError::Io(format!("cannot create {}: {e}", dir.display())))?;
-        let path = dir.join("trace.csv");
-        let config = wsn_params::config::StackConfig::default();
-        let options = wsn_link_sim::simulation::SimOptions {
-            packets: scale.packets(),
-            ..wsn_link_sim::simulation::SimOptions::quick(scale.packets())
-        };
-        let n = wsn_experiments::dataset::export_to_file(config, options, &path)
-            .map_err(|e| CliError::Io(format!("dataset export failed: {e}")))?;
-        println!("wrote {n} per-packet records to {}", path.display());
-        return Ok(());
-    }
-
+/// `repro all` or `repro <ID...>`: runs the named experiments in turn.
+fn run_experiments(
+    selections: Vec<String>,
+    scale: Scale,
+    out_dir: Option<&Path>,
+) -> Result<(), CliError> {
     let ids: Vec<String> = if selections.iter().any(|s| s == "all") {
         all_experiments()
             .iter()
@@ -707,7 +781,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
             id,
             start.elapsed().as_secs_f64()
         );
-        if let Some(dir) = &out_dir {
+        if let Some(dir) = out_dir {
             write_outputs(dir, &report)
                 .map_err(|e| CliError::Io(format!("failed to write outputs for {id}: {e}")))?;
         }
@@ -764,6 +838,82 @@ mod tests {
     fn a_misspelt_flag_is_refused() {
         assert_unknown_flag(&["serve", "--thread", "2"], "--thread");
         assert_unknown_flag(&["-x", "list"], "-x");
+    }
+
+    /// Asserts that `args` is refused as a usage error naming `flag` as
+    /// not applying to `command`.
+    fn assert_flag_does_not_apply(args: &[&str], flag: &str, command: &str) {
+        match run_args(args) {
+            Err(e @ CliError::Usage(_)) => {
+                assert_eq!(e.exit_code(), 1);
+                let text = e.to_string();
+                assert!(
+                    text.contains(&format!("`{flag}` does not apply to `repro {command}`")),
+                    "{text}"
+                );
+            }
+            other => panic!("{args:?} should be a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_read_is_refused() {
+        // Refused before anything runs: the first flag that does not apply
+        // is named.
+        assert_flag_does_not_apply(
+            &["list", "--threads", "3", "--addr", "x", "--store", "y"],
+            "--threads",
+            "list",
+        );
+        // The campaign runs on every core; it has no thread-count flag.
+        assert_flag_does_not_apply(&["campaign", "--threads", "1"], "--threads", "campaign");
+        assert_flag_does_not_apply(&["serve", "--full"], "--full", "serve");
+        assert_flag_does_not_apply(&["timeline", "--resume"], "--resume", "timeline");
+        assert_flag_does_not_apply(&["bench", "--engine", "fast"], "--engine", "bench");
+        assert_flag_does_not_apply(&["fig06", "--json", "f.json"], "--json", "fig06");
+    }
+
+    #[test]
+    fn the_dispatch_order_picks_the_subcommand_whose_flags_apply() {
+        let words = |w: &[&str]| w.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        // `scenario list` and `timeline list` are not `list`.
+        let scenario = find_command(&words(&["scenario", "list"]));
+        assert_eq!(
+            scenario.map(|(pos, name, _)| (pos, name)),
+            Some((0, "scenario"))
+        );
+        let timeline = find_command(&words(&["timeline", "list"]));
+        assert_eq!(
+            timeline.map(|(pos, name, _)| (pos, name)),
+            Some((0, "timeline"))
+        );
+        assert!(find_command(&words(&["fig06", "table04"])).is_none());
+        // A flag the subcommand reads passes the check and reaches it.
+        for (args, refusal) in [
+            (&["campaign", "--resume"][..], "--resume needs --out"),
+            (&["dataset", "--full"][..], "dataset export needs --out"),
+        ] {
+            match run_args(args) {
+                Err(e @ CliError::Usage(_)) => assert!(e.to_string().contains(refusal), "{e}"),
+                other => panic!("{args:?} should be refused by its runner, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_flag_in_the_table_is_one_the_parser_knows() {
+        // `list` reads no flag, so a known one is refused as not applying
+        // (or for its value), never as unknown.
+        for (command, flags) in COMMAND_FLAGS {
+            for flag in flag_names(flags) {
+                match run_args(&["list", flag, "1"]) {
+                    Err(CliError::Usage(msg)) => {
+                        assert!(!msg.starts_with("unknown flag"), "{command}: {msg}")
+                    }
+                    other => panic!("{command} {flag}: expected a usage error, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! The experiment campaign runner: simulates sets of configurations with
 //! per-configuration derived seeds, optionally across threads.
 //!
-//! Results stream **in configuration order** to a
-//! [`CampaignSink`]; workers claim work from a
-//! lock-free atomic index and hand finished results to a bounded reorder
-//! buffer, so peak memory is O(threads) regardless of grid size. The
-//! historical collect-everything API ([`Campaign::run_configs`]) remains as
-//! a thin wrapper over a
+//! Results stream **in configuration order** to a [`CampaignSink`]. This
+//! is the one parallel runner for every engine: workers claim chunks of
+//! consecutive configurations from a lock-free atomic index and hand
+//! finished chunks to a reorder buffer that may hold at most
+//! `2 × threads` chunks, so peak memory is O(threads × chunk) regardless
+//! of grid size. The chunk is one configuration on the golden engine and
+//! 64 on the fast and analytic engines. The historical collect-everything
+//! API ([`Campaign::run_configs`]) remains as a thin wrapper over a
 //! [`CollectSink`].
 
 use std::collections::BTreeMap;
@@ -22,7 +24,6 @@ use wsn_link_sim::traffic::TrafficModel;
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
 use wsn_radio::channel::ChannelConfig;
-use wsn_sim_engine::batch::BatchExecutor;
 use wsn_sim_engine::mode::EngineMode;
 use wsn_sim_engine::rng::RngFactory;
 
@@ -197,10 +198,12 @@ impl Campaign {
     /// to `sink` in configuration order as soon as it (and all its
     /// predecessors) finish. Returns delivery statistics.
     ///
-    /// Work distribution is an atomic claim index; in-order delivery uses a
-    /// reorder buffer bounded by `2 × threads` entries — workers that race
-    /// too far ahead of the slowest in-flight configuration wait, so peak
-    /// memory is O(threads), independent of `configs.len()`.
+    /// Work distribution is an atomic claim index handing out chunks of
+    /// consecutive configurations; in-order delivery uses a reorder buffer
+    /// bounded by `2 × threads` chunks — workers that race too far ahead of
+    /// the slowest in-flight chunk wait, so peak memory is
+    /// O(threads × chunk), independent of `configs.len()`. A span no larger
+    /// than one chunk runs inline on the caller's thread.
     pub fn run_streamed<S: CampaignSink + Send>(
         &self,
         configs: &[StackConfig],
@@ -220,7 +223,8 @@ impl Campaign {
         sink: &mut S,
     ) -> StreamStats {
         let total = configs.len();
-        let threads = self.threads.min(total).max(1);
+        let chunk = claim_chunk(self.engine);
+        let threads = self.threads.min(total.div_ceil(chunk)).max(1);
         let runner = self.runner();
 
         if threads <= 1 || total < 4 {
@@ -245,14 +249,12 @@ impl Campaign {
             .budgets()
             .prewarm(configs.iter().map(|c| (c.power, c.distance)));
 
-        if self.engine != EngineMode::Golden {
-            return self.run_span_batch_parallel(configs, base, sink, threads, &runner);
-        }
-
-        // Workers that finish ahead of the in-order frontier may run at
+        // Workers that finish ahead of the in-order frontier may claim at
         // most `window` configs past it before waiting, which bounds the
-        // reorder buffer.
-        let window = threads * 2;
+        // reorder buffer. Chunks start at multiples of `chunk` and the
+        // frontier moves a whole chunk at a time, so at most `2 × threads`
+        // chunks are ever pending.
+        let window = threads * 2 * chunk;
         let next_claim = AtomicUsize::new(0);
         let delivery = Mutex::new(Delivery {
             next_deliver: 0,
@@ -269,9 +271,10 @@ impl Campaign {
                 scope.spawn(|| {
                     // Per-worker runner: a private (pre-warmed) budget table.
                     let local = runner.fork();
+                    let mut finished = Vec::with_capacity(chunk);
                     loop {
-                        let i = next_claim.fetch_add(1, Ordering::Relaxed);
-                        if i >= total {
+                        let start = next_claim.fetch_add(chunk, Ordering::Relaxed);
+                        if start >= total {
                             return;
                         }
                         // Throttle: don't run more than `window` ahead of
@@ -279,12 +282,16 @@ impl Campaign {
                         {
                             let guard = delivery.lock().expect("delivery lock");
                             let _unused = frontier_moved
-                                .wait_while(guard, |d| i >= d.next_deliver + window)
+                                .wait_while(guard, |d| start >= d.next_deliver + window)
                                 .expect("delivery lock");
                         }
-                        let result = self.run_one_shared(configs[i], (base + i) as u64, &local);
+                        let end = (start + chunk).min(total);
+                        for (i, &config) in (start..end).zip(&configs[start..end]) {
+                            let result = self.run_one_shared(config, (base + i) as u64, &local);
+                            finished.push((i, result));
+                        }
                         let mut d = delivery.lock().expect("delivery lock");
-                        d.pending.insert(i, result);
+                        d.pending.extend(finished.drain(..));
                         d.max_pending = d.max_pending.max(d.pending.len());
                         if d.pending.contains_key(&d.next_deliver) {
                             let mut out = sink.lock().expect("sink lock");
@@ -316,44 +323,22 @@ impl Campaign {
         }
     }
 
-    /// The parallel span runner for the cheap engines (fast and
-    /// analytic): a chunk-claiming [`BatchExecutor`] with one pre-warmed
-    /// budget-table copy per worker, no condition variables and no mid-run
-    /// locking. Results are collected and delivered to `sink` in order
-    /// afterwards — at a few µs per config the reorder machinery of the
-    /// golden path would cost more than the simulations, and holding
-    /// `O(total)` summaries (a few hundred bytes each) is cheap. (The
-    /// analytic workers do share the campaign's memo table; its `RwLock`
-    /// is read-mostly and uncontended after first sight of a config.)
-    fn run_span_batch_parallel<S: CampaignSink + Send>(
-        &self,
-        configs: &[StackConfig],
-        base: usize,
-        sink: &mut S,
-        threads: usize,
-        runner: &EngineRunner,
-    ) -> StreamStats {
-        let total = configs.len();
-        let exec = BatchExecutor::new(threads);
-        let results = exec.map_init(
-            configs,
-            || runner.fork(),
-            |local, i, config| self.run_one_shared(*config, (base + i) as u64, local),
-        );
-        for (i, result) in results.iter().enumerate() {
-            sink.on_result(base + i, result);
-        }
-        sink.on_complete(total);
-        StreamStats {
-            delivered: total,
-            max_pending: total,
-        }
-    }
-
     /// Simulates every configuration of a grid.
     pub fn run_grid(&self, grid: &ParamGrid) -> Vec<ConfigResult> {
         let configs: Vec<StackConfig> = grid.iter().collect();
         self.run_configs(&configs)
+    }
+}
+
+/// Configurations a worker claims at once on `engine`. A golden run costs
+/// tens of microseconds or more, so claiming one at a time keeps the
+/// reorder window tight; a fast or analytic run costs a few microseconds,
+/// where a claim, a reorder insert and a wake per configuration would cost
+/// as much as the run itself.
+fn claim_chunk(engine: EngineMode) -> usize {
+    match engine {
+        EngineMode::Golden => 1,
+        EngineMode::Fast | EngineMode::Analytic => 64,
     }
 }
 
@@ -448,6 +433,69 @@ mod tests {
             stats.max_pending,
             campaign.threads * 2
         );
+    }
+
+    #[test]
+    fn every_engine_streams_in_order_within_its_claim_window() {
+        // 1,024 configs: more than the 2 × threads chunks of 64 the fast
+        // and analytic engines may hold, so each engine's bound is
+        // exercised rather than trivially satisfied (the 8-config grid of
+        // the other parallel tests runs those engines inline).
+        let grid = ParamGrid {
+            distances_m: vec![10.0, 20.0, 30.0, 35.0],
+            power_levels: vec![3, 7, 11, 15, 19, 23, 27, 31],
+            max_tries: vec![1, 3],
+            retry_delays_ms: vec![0, 30],
+            queue_caps: vec![1, 30],
+            packet_intervals_ms: vec![50, 100],
+            payloads: vec![20, 110],
+        };
+        let configs: Vec<StackConfig> = grid.iter().collect();
+        assert_eq!(configs.len(), 1024);
+        for engine in EngineMode::ALL {
+            let campaign = Campaign {
+                packets: 30,
+                threads: 4,
+                ..Campaign::new(Scale::Bench)
+            }
+            .with_engine(engine);
+            let bound = campaign.threads * 2 * claim_chunk(engine);
+            assert!(
+                bound < configs.len(),
+                "{engine:?}: the window covers the grid"
+            );
+            let mut indices = Vec::new();
+            let mut results = Vec::new();
+            let mut sink = crate::stream::SinkFn::new(|i: usize, r: &ConfigResult| {
+                indices.push(i);
+                results.push(r.clone());
+            });
+            let stats = campaign.run_streamed(&configs, &mut sink);
+            assert_eq!(
+                indices,
+                (0..configs.len()).collect::<Vec<_>>(),
+                "{engine:?}"
+            );
+            assert_eq!(stats.delivered, configs.len());
+            assert!(
+                stats.max_pending <= bound,
+                "{engine:?}: max_pending {} exceeds 2 × threads × chunk = {bound}",
+                stats.max_pending
+            );
+            // Chunked claims change who runs a config, never its result.
+            // A fresh campaign, so the analytic engine recomputes rather
+            // than reading the memo the parallel run filled.
+            let serial = Campaign {
+                packets: 30,
+                threads: 1,
+                ..Campaign::new(Scale::Bench)
+            }
+            .with_engine(engine);
+            assert!(
+                results == serial.run_configs(&configs),
+                "{engine:?}: parallel results differ from serial"
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,11 @@ use wsn_models::baselines::Baseline;
 use wsn_models::optimize::Optimizer;
 use wsn_models::predict::{LinkBudget, Predictor};
 use wsn_params::config::StackConfig;
+use wsn_radio::channel::ChannelConfig;
 
 use crate::campaign::{Campaign, Scale};
 use crate::report::{fnum, Report, Table};
 use crate::stats::{MetricCi, Replicates};
-use crate::sweep::case_study_channel;
 use crate::table04::{base_config, joint_grid};
 
 /// Replicates per configuration.
@@ -33,7 +33,7 @@ fn measure(campaign: &Campaign, config: StackConfig) -> (MetricCi, MetricCi) {
 /// Runs the replication experiment.
 pub fn run(scale: Scale) -> Report {
     let campaign = Campaign::new(scale)
-        .with_channel(case_study_channel())
+        .with_channel(ChannelConfig::case_study())
         .with_traffic(TrafficModel::Saturating);
 
     let mut predictor = Predictor::paper();

@@ -1,16 +1,11 @@
-//! Named multi-link scenarios (`repro scenario <id>`): report rendering
-//! and a small fan-out runner over the scenario catalog that ships with
-//! the network simulator, fanning work across worker threads the way
-//! [`Campaign`](crate::campaign::Campaign) fans out over grid
-//! configurations.
+//! Named multi-link scenarios (`repro scenario <id>`): running and report
+//! rendering over the scenario catalog that ships with the network
+//! simulator.
 //!
 //! The catalog itself ([`all_scenarios`]/[`build_scenario`]) moved to
 //! [`wsn_link_sim::catalog`] so non-harness consumers (the `wsn-serve`
 //! query service, library users) can resolve scenario ids too; this module
 //! re-exports it.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use wsn_link_sim::network::{NetOptions, NetworkOutcome, NetworkSimulation};
 
@@ -30,31 +25,6 @@ pub fn simulate(id: &str, scale: Scale) -> Option<NetworkOutcome> {
         ..NetOptions::quick(scale.packets())
     };
     Some(NetworkSimulation::new(scenario, options).run())
-}
-
-/// Fans `ids` out over `threads` workers, one scenario per task, and
-/// returns the outcomes in input order. Unknown ids yield `None`.
-pub fn simulate_many(ids: &[&str], scale: Scale, threads: usize) -> Vec<Option<NetworkOutcome>> {
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<NetworkOutcome>>> = Mutex::new(vec![None; 0]);
-    slots
-        .lock()
-        .expect("fresh mutex")
-        .resize_with(ids.len(), || None);
-    let workers = threads.clamp(1, ids.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ids.len() {
-                    break;
-                }
-                let outcome = simulate(ids[i], scale);
-                slots.lock().expect("no poisoned workers")[i] = outcome;
-            });
-        }
-    });
-    slots.into_inner().expect("workers joined")
 }
 
 /// Runs one builtin scenario and renders it as a report.
@@ -146,22 +116,6 @@ mod tests {
         let err = run_scenario("nope", Scale::Bench).unwrap_err();
         assert!(err.contains("nope"));
         assert!(err.contains("hidden-pair"));
-    }
-
-    #[test]
-    fn fan_out_preserves_input_order() {
-        let ids = ["hidden-pair", "single", "nope"];
-        let outcomes = simulate_many(&ids, Scale::Bench, 4);
-        assert_eq!(outcomes.len(), 3);
-        assert_eq!(outcomes[0].as_ref().unwrap().links.len(), 2);
-        assert_eq!(outcomes[1].as_ref().unwrap().links.len(), 1);
-        assert!(outcomes[2].is_none());
-        // Deterministic regardless of worker interleaving.
-        let again = simulate_many(&ids, Scale::Bench, 1);
-        assert_eq!(
-            outcomes[0].as_ref().unwrap().links[0].metrics,
-            again[0].as_ref().unwrap().links[0].metrics
-        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! result **in configuration order** as workers finish, so consumers
 //! (progress lines, JSONL shard writers, collectors) never need the whole
 //! result set in memory. The runner guarantees in-order delivery with a
-//! bounded reorder buffer: at most `2 × threads` results are ever pending
-//! (see [`Campaign::run_streamed`](crate::campaign::Campaign::run_streamed)).
+//! bounded reorder buffer: at most `2 × threads` claims of `chunk`
+//! configurations each are ever pending, on every engine (see
+//! [`Campaign::run_streamed`](crate::campaign::Campaign::run_streamed)).
 
 use std::io::Write;
 use std::time::Instant;
@@ -87,8 +88,9 @@ pub struct StreamStats {
     /// Results delivered to the sink.
     pub delivered: usize,
     /// Largest number of finished-but-undelivered results ever held in the
-    /// reorder buffer. Bounded by the runner's claim-ahead window
-    /// (`2 × threads`), independent of grid size.
+    /// reorder buffer. Bounded by the runner's claim-ahead window of
+    /// `2 × threads` claims of `chunk` configurations (1 on golden, 64 on
+    /// fast and analytic), independent of grid size.
     pub max_pending: usize,
 }
 

@@ -1,8 +1,5 @@
 //! Shared sweep helpers used by the per-figure experiment modules.
 
-use wsn_params::config::StackConfig;
-use wsn_radio::channel::ChannelConfig;
-
 /// The PA levels of the Table I grid.
 pub const GRID_POWERS: [u8; 8] = [3, 7, 11, 15, 19, 23, 27, 31];
 
@@ -11,57 +8,6 @@ pub const GRID_PAYLOADS: [u16; 8] = [5, 20, 35, 50, 65, 80, 95, 110];
 
 /// The distances of the Table I grid, meters.
 pub const GRID_DISTANCES: [f64; 6] = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0];
-
-/// A baseline configuration on the 35 m link used by the per-figure
-/// sweeps: moderate periodic load, deep queue, no retry delay.
-///
-/// # Panics
-///
-/// Never panics; all constants are valid.
-pub fn base_35m() -> StackConfig {
-    StackConfig::builder()
-        .distance_m(35.0)
-        .power_level(23)
-        .payload_bytes(110)
-        .max_tries(3)
-        .retry_delay_ms(0)
-        .queue_cap(30)
-        .packet_interval_ms(100)
-        .build()
-        .expect("constants are valid")
-}
-
-/// Clones `base` at each power level (the x-axis of every "vs SNR" figure:
-/// sweeping power sweeps the mean SNR).
-pub fn power_sweep(base: &StackConfig, powers: &[u8]) -> Vec<StackConfig> {
-    powers
-        .iter()
-        .map(|&p| {
-            let mut cfg = *base;
-            cfg.power = wsn_params::types::PowerLevel::new(p).expect("grid powers are valid");
-            cfg
-        })
-        .collect()
-}
-
-/// Clones `base` at each payload size.
-pub fn payload_sweep(base: &StackConfig, payloads: &[u16]) -> Vec<StackConfig> {
-    payloads
-        .iter()
-        .map(|&l| {
-            let mut cfg = *base;
-            cfg.payload = wsn_params::types::PayloadSize::new(l).expect("grid payloads are valid");
-            cfg
-        })
-        .collect()
-}
-
-/// The channel of the paper's Sec. VIII case study: the hallway with ~23 dB
-/// of extra shadowing so that the 35 m link reaches only 6 dB SNR at
-/// maximum power (matching `LinkBudget::case_study`).
-pub fn case_study_channel() -> ChannelConfig {
-    ChannelConfig::case_study()
-}
 
 /// Mean of an iterator of f64 values; 0.0 when empty.
 pub fn mean_of(values: impl Iterator<Item = f64>) -> f64 {
@@ -91,36 +37,6 @@ pub fn std_of(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn power_sweep_varies_only_power() {
-        let base = base_35m();
-        let sweep = power_sweep(&base, &GRID_POWERS);
-        assert_eq!(sweep.len(), 8);
-        for (cfg, &p) in sweep.iter().zip(GRID_POWERS.iter()) {
-            assert_eq!(cfg.power.level(), p);
-            assert_eq!(cfg.payload, base.payload);
-            assert_eq!(cfg.distance, base.distance);
-        }
-    }
-
-    #[test]
-    fn payload_sweep_varies_only_payload() {
-        let base = base_35m();
-        let sweep = payload_sweep(&base, &GRID_PAYLOADS);
-        assert_eq!(sweep.len(), 8);
-        for (cfg, &l) in sweep.iter().zip(GRID_PAYLOADS.iter()) {
-            assert_eq!(cfg.payload.bytes(), l);
-            assert_eq!(cfg.power, base.power);
-        }
-    }
-
-    #[test]
-    fn case_study_channel_is_attenuated() {
-        let normal = ChannelConfig::paper_hallway();
-        let weak = case_study_channel();
-        assert!(weak.pathloss.reference_loss_db > normal.pathloss.reference_loss_db + 20.0);
-    }
 
     #[test]
     fn stats_helpers() {

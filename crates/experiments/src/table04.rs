@@ -14,10 +14,10 @@ use wsn_models::optimize::Optimizer;
 use wsn_models::predict::{LinkBudget, Predictor};
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
+use wsn_radio::channel::ChannelConfig;
 
 use crate::campaign::{Campaign, Scale};
 use crate::report::{fnum, Report, Table};
-use crate::sweep::case_study_channel;
 
 /// One row of the case-study comparison.
 #[derive(Debug, Clone)]
@@ -80,7 +80,7 @@ pub fn case_study_rows(scale: Scale) -> Vec<CaseRow> {
 
     let configs: Vec<StackConfig> = entries.iter().map(|(_, c)| *c).collect();
     let campaign = Campaign::new(scale)
-        .with_channel(case_study_channel())
+        .with_channel(ChannelConfig::case_study())
         .with_traffic(TrafficModel::Saturating);
     let results = campaign.run_configs(&configs);
 

@@ -293,6 +293,13 @@ mod tests {
     }
 
     #[test]
+    fn case_study_channel_is_attenuated() {
+        let normal = ChannelConfig::paper_hallway();
+        let weak = ChannelConfig::case_study();
+        assert!(weak.pathloss.reference_loss_db > normal.pathloss.reference_loss_db + 20.0);
+    }
+
+    #[test]
     fn hallway_observations_fluctuate_around_mean() {
         let mut ch = mk(23, 20.0, ChannelConfig::paper_hallway());
         let mut f = StdRng::seed_from_u64(1);

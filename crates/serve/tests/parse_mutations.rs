@@ -5,7 +5,10 @@
 //! * truncation at every char boundary;
 //! * each scalar value (not key) replaced with `null`, `-1`, `1e400`,
 //!   `1e999`, `-1e999`, `18446744073709551616`, `"x"`, `[]` and `{}`;
-//! * the first key of the top-level object duplicated.
+//! * the first key of the top-level object duplicated;
+//! * each scalar value replaced with `NaN`, `Infinity` or `-Infinity`,
+//!   which are not JSON, so each such mutant must be refused with the
+//!   `bad_request` code.
 //!
 //! Invariants, on every mutant: `parse_request` never panics and gives an
 //! equal `Result` (field for field) on a second call; an `Ok` carries no
@@ -36,6 +39,10 @@ const REPLACEMENTS: [&str; 9] = [
     "[]",
     "{}",
 ];
+
+/// Number spellings JSON does not have (some encoders write them for
+/// non-finite floats). A line holding one as a value is not JSON.
+const NOT_JSON: [&str; 3] = ["NaN", "Infinity", "-Infinity"];
 
 /// Byte spans found by [`scan`]: every scalar value (strings with their
 /// quotes, numbers, literals), and the first `"key":value` entry of the
@@ -100,19 +107,25 @@ fn scan(text: &str) -> Spans {
     }
 }
 
-/// Every mutant of one corpus line.
+/// `line` with each scalar value in turn replaced by each of `with`.
+fn replaced(line: &str, with: &[&str]) -> Vec<String> {
+    let mut out = Vec::new();
+    for &(start, end) in &scan(line).scalars {
+        for replacement in with {
+            out.push(format!("{}{replacement}{}", &line[..start], &line[end..]));
+        }
+    }
+    out
+}
+
+/// Every mutant of one corpus line but the [`NOT_JSON`] ones.
 fn mutants(line: &str) -> Vec<String> {
     let mut out: Vec<String> = line
         .char_indices()
         .map(|(i, _)| line[..i].to_string())
         .collect();
-    let spans = scan(line);
-    for &(start, end) in &spans.scalars {
-        for replacement in REPLACEMENTS {
-            out.push(format!("{}{replacement}{}", &line[..start], &line[end..]));
-        }
-    }
-    if let Some((start, end)) = spans.first_entry {
+    out.extend(replaced(line, &REPLACEMENTS));
+    if let Some((start, end)) = scan(line).first_entry {
         out.push(format!(
             "{}{},{}",
             &line[..start],
@@ -197,6 +210,14 @@ fn check(input: &str) -> Result<(), String> {
     }
 }
 
+/// Checks that `input` is refused with the `bad_request` code.
+fn refused_as_bad_request(input: &str) -> Result<(), String> {
+    match parse_request(input) {
+        Err(rejection) if rejection.code.name() == "bad_request" => Ok(()),
+        other => Err(format!("not refused as bad_request: {other:?}")),
+    }
+}
+
 #[test]
 fn every_corpus_mutant_parses_to_a_deterministic_result_or_a_clean_rejection() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/requests.jsonl");
@@ -211,6 +232,12 @@ fn every_corpus_mutant_parses_to_a_deterministic_result_or_a_clean_rejection() {
         for input in mutants(line) {
             inputs += 1;
             if let Err(why) = check(&input) {
+                failures.push(format!("{why}\n  input: {input}"));
+            }
+        }
+        for input in replaced(line, &NOT_JSON) {
+            inputs += 1;
+            if let Err(why) = check(&input).and_then(|()| refused_as_bad_request(&input)) {
                 failures.push(format!("{why}\n  input: {input}"));
             }
         }

@@ -44,7 +44,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod event;
 pub mod executor;
 pub mod mode;
@@ -54,7 +53,6 @@ pub mod time;
 
 /// Convenient glob-import of the engine's core types.
 pub mod prelude {
-    pub use crate::batch::BatchExecutor;
     pub use crate::event::EventQueue;
     pub use crate::executor::{
         ExecStats, Executor, ExecutorObserver, Model, Scheduler, StopReason,

@@ -18,10 +18,10 @@ use std::time::Instant;
 
 use wsn_linkconf::analytic::runner::EngineRunner;
 use wsn_linkconf::experiments::campaign::{Campaign, Scale};
-use wsn_linkconf::experiments::sweep::case_study_channel;
 use wsn_linkconf::experiments::table04;
 use wsn_linkconf::link::traffic::TrafficModel;
 use wsn_linkconf::models::optimize::GridScan;
+use wsn_linkconf::radio::channel::ChannelConfig;
 
 fn main() {
     // The Table IV search space: the paper grid's power × payload ×
@@ -36,7 +36,7 @@ fn main() {
     //    bulk transfer), solving the paper's joint formulation: max
     //    goodput subject to energy within 20 % of the best energy
     //    anywhere on the grid.
-    let runner = EngineRunner::new(case_study_channel(), TrafficModel::Saturating);
+    let runner = EngineRunner::new(ChannelConfig::case_study(), TrafficModel::Saturating);
     let scan = runner.analytic_scan(Scale::Quick.packets());
     let t0 = Instant::now();
     let Ok(pick) = scan.joint_energy_goodput(&grid, 1.2);
@@ -66,7 +66,7 @@ fn main() {
     // 2. Cross-check: only the winner is re-simulated, through the golden
     //    event-driven engine.
     let golden = Campaign::new(Scale::Quick)
-        .with_channel(case_study_channel())
+        .with_channel(ChannelConfig::case_study())
         .with_traffic(TrafficModel::Saturating);
     let t0 = Instant::now();
     let simulated = &golden.run_configs(&[config])[0];
