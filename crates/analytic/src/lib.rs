@@ -90,7 +90,7 @@ use crate::math::MixtureComponent;
 
 /// Convenient glob-import of the analytic engine.
 pub mod prelude {
-    pub use crate::runner::{AnalyticScan, EngineRunner, RunOutcome};
+    pub use crate::runner::{AnalyticScan, EngineRunner};
     pub use crate::table::AnalyticTable;
     pub use crate::{evaluate, AnalyticLinkSimulation, AnalyticOutcome, AnalyticReport};
 }

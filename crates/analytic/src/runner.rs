@@ -21,20 +21,10 @@ use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
 use wsn_radio::budget::LinkBudgetTable;
 use wsn_radio::channel::ChannelConfig;
-use wsn_sim_engine::executor::ExecStats;
 use wsn_sim_engine::mode::EngineMode;
 
 use crate::table::AnalyticTable;
 use crate::{link_stage, queue_stage, AnalyticOutcome, LinkStage};
-
-/// What one [`EngineRunner::run`] measured.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// The run's summary metrics.
-    pub metrics: LinkMetrics,
-    /// Event-loop statistics; only the golden engine has an event loop.
-    pub exec: Option<ExecStats>,
-}
 
 /// Runs single links on one channel and traffic model.
 #[derive(Debug, Clone)]
@@ -98,29 +88,19 @@ impl EngineRunner {
         config: StackConfig,
         packets: u64,
         seed: u64,
-    ) -> RunOutcome {
+    ) -> LinkMetrics {
         let options = self.options(packets, seed);
         match engine {
-            EngineMode::Golden => {
-                let outcome = LinkSimulation::new(config, options)
-                    .with_budget_table(Arc::clone(&self.budgets))
-                    .run();
-                RunOutcome {
-                    metrics: outcome.metrics().clone(),
-                    exec: Some(outcome.exec),
-                }
-            }
-            EngineMode::Fast => RunOutcome {
-                metrics: FastLinkSimulation::new(config, options)
-                    .with_budget_table(Arc::clone(&self.budgets))
-                    .run()
-                    .into_metrics(),
-                exec: None,
-            },
-            EngineMode::Analytic => RunOutcome {
-                metrics: self.analytic(config, packets).into_metrics(),
-                exec: None,
-            },
+            EngineMode::Golden => LinkSimulation::new(config, options)
+                .with_budget_table(Arc::clone(&self.budgets))
+                .run()
+                .metrics()
+                .clone(),
+            EngineMode::Fast => FastLinkSimulation::new(config, options)
+                .with_budget_table(Arc::clone(&self.budgets))
+                .run()
+                .into_metrics(),
+            EngineMode::Analytic => self.analytic(config, packets).into_metrics(),
         }
     }
 

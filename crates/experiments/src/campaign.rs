@@ -175,10 +175,9 @@ impl Campaign {
         index: u64,
         runner: &EngineRunner,
     ) -> ConfigResult {
-        let outcome = runner.run(self.engine, config, self.packets, self.seed_for(index));
         ConfigResult {
             config,
-            metrics: outcome.metrics,
+            metrics: runner.run(self.engine, config, self.packets, self.seed_for(index)),
         }
     }
 
@@ -245,9 +244,14 @@ impl Campaign {
         // was the cause of the campaign's *negative* thread scaling — at
         // sub-5 µs per fast config, even an uncontended lock per run
         // showed up; contended, it inverted the scaling curve.)
-        runner
-            .budgets()
-            .prewarm(configs.iter().map(|c| (c.power, c.distance)));
+        // The analytic engine never reads the budget table, so it skips the
+        // prewarm and the per-worker copies.
+        let analytic = self.engine == EngineMode::Analytic;
+        if !analytic {
+            runner
+                .budgets()
+                .prewarm(configs.iter().map(|c| (c.power, c.distance)));
+        }
 
         // Workers that finish ahead of the in-order frontier may claim at
         // most `window` configs past it before waiting, which bounds the
@@ -270,7 +274,11 @@ impl Campaign {
             for _ in 0..threads {
                 scope.spawn(|| {
                     // Per-worker runner: a private (pre-warmed) budget table.
-                    let local = runner.fork();
+                    let local = if analytic {
+                        runner.clone()
+                    } else {
+                        runner.fork()
+                    };
                     let mut finished = Vec::with_capacity(chunk);
                     loop {
                         let start = next_claim.fetch_add(chunk, Ordering::Relaxed);

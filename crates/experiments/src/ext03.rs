@@ -64,9 +64,12 @@ pub struct PhaseOutcome {
 }
 
 fn run_phase(config: StackConfig, extra_db: f64, packets: u64, seed: u64) -> PhaseOutcome {
-    let m = EngineRunner::new(channel_with_extra_loss(extra_db), TrafficModel::Periodic)
-        .run(EngineMode::Golden, config, packets, seed)
-        .metrics;
+    let m = EngineRunner::new(channel_with_extra_loss(extra_db), TrafficModel::Periodic).run(
+        EngineMode::Golden,
+        config,
+        packets,
+        seed,
+    );
     PhaseOutcome {
         snr_db: m.mean_snr_db,
         payload: config.payload.bytes(),

@@ -13,6 +13,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
+use wsn_analytic::runner::EngineRunner;
 use wsn_link_sim::network::{NetOptions, NetworkSimulation};
 use wsn_params::config::StackConfig;
 use wsn_params::grid::ParamGrid;
@@ -336,16 +337,18 @@ pub fn campaign_throughput(thread_counts: &[usize], reps: usize, min_batch_s: f6
 }
 
 /// Warm per-prediction latency of the analytic engine, nanoseconds: one
-/// configuration asked for over and over against a populated memo table —
-/// the steady-state cost serve's analytic `predict` (and each `tune`
-/// pre-scan candidate after the first sweep) pays.
+/// configuration asked for over and over through one reused
+/// [`EngineRunner`] against a populated memo table — the steady-state cost
+/// serve's analytic `predict` (and each `tune` pre-scan candidate after
+/// the first sweep) pays.
 pub fn analytic_predict_latency_ns(reps: usize, min_batch_s: f64) -> f64 {
-    let campaign = Campaign::new(Scale::Bench).with_engine(EngineMode::Analytic);
+    let campaign = Campaign::new(Scale::Bench);
+    let runner = EngineRunner::new(campaign.channel, campaign.traffic);
     let config = bench_grid().iter().next().expect("non-empty grid");
     // The warm-up call populates the memo, so every timed call is a hit.
     let (iters, best) = best_batch(reps, min_batch_s, 1000, || {
-        let result = campaign.run_one(config, 0);
-        std::hint::black_box(result.metrics.goodput_bps);
+        let metrics = runner.run(EngineMode::Analytic, config, campaign.packets, 0);
+        std::hint::black_box(metrics.goodput_bps);
     });
     best * 1e9 / iters as f64
 }

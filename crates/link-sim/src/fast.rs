@@ -1,17 +1,17 @@
 //! The fast-mode link engine: a coalesced per-packet simulator that is
-//! *statistically equivalent* to the golden event-driven
+//! *statistically equivalent* to the golden
 //! [`LinkSimulation`](crate::simulation::LinkSimulation).
 //!
 //! # What "fast" changes — and what it must not
 //!
-//! The golden engine replays roughly six scheduler events per transmission
-//! attempt (backoff elapse, CCA, turnaround, frame airtime, ACK wait,
-//! retry gap), each a heap push/pop through the executor. The fast engine
-//! samples the **same stochastic process** — identical backoff law,
-//! identical CCA geometric loop, identical per-attempt channel
-//! observation, delivery and ACK draws from the paper's Eq. 3/7/8 chain —
-//! but composes each packet's service time arithmetically in one pass, so
-//! a packet costs a handful of RNG draws instead of a handful of events.
+//! Both engines compose each packet's MAC service phase by phase without
+//! an event queue, and both sample the **same stochastic process** —
+//! identical backoff law, identical CCA geometric loop, identical
+//! per-attempt channel observation, delivery and ACK draws from the
+//! paper's Eq. 3/7/8 chain. Golden draws from ChaCha12 streams with polar
+//! Box–Muller normals and keeps the scheduler's event order exactly; fast
+//! draws from xoshiro256++ with Ziggurat normals and resolves queueing
+//! arithmetically, so a packet costs a handful of cheap draws.
 //! Queueing is resolved analytically: with one server and FIFO service,
 //! a packet's service start is `max(arrival, previous departure)`, and
 //! queue occupancy at any arrival equals the number of earlier admissions
@@ -40,6 +40,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use wsn_mac::timing;
+use wsn_mac::transaction::Transaction;
 use wsn_params::config::StackConfig;
 use wsn_radio::budget::LinkBudgetTable;
 use wsn_radio::channel::Channel;
@@ -53,11 +54,6 @@ use crate::record::{PacketFate, PacketRecord};
 use crate::simulation::SimOptions;
 
 use rand::Rng;
-
-/// The CCA retry budget, mirroring
-/// `wsn_mac::transaction::MAX_CCA_RETRIES`: after this many consecutive
-/// busy assessments the MAC transmits anyway.
-const MAX_CCA_RETRIES: u32 = 16;
 
 /// Derives the fast engine's root seed for one `(config, seed)` pair.
 ///
@@ -291,11 +287,12 @@ impl FastRun {
             // fast path must too (draw-count parity per attempt).
             if self.cca_prob > 0.0 {
                 let mut cca_retries = 0u32;
-                while cca_retries < MAX_CCA_RETRIES && self.rng_backoff.gen::<f64>() < self.cca_prob
+                while cca_retries < Transaction::MAX_CCA_RETRIES
+                    && self.rng_backoff.gen::<f64>() < self.cca_prob
                 {
                     cca_retries += 1;
-                    self.rx_us += 128;
-                    t += 128;
+                    self.rx_us += timing::CCA_TIME.as_micros();
+                    t += timing::CCA_TIME.as_micros();
                     let congestion =
                         timing::draw_congestion_backoff(&mut self.rng_backoff).as_micros();
                     self.rx_us += congestion;

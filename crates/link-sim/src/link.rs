@@ -1,20 +1,17 @@
-//! The per-link simulation core, factored out of the single-link
-//! [`simulation`](crate::simulation) so the multi-link
-//! [`network`](crate::network) simulator can run many of them against one
-//! shared channel.
+//! The per-link simulation core of the event-driven multi-link
+//! [`network`](crate::network) simulator.
 //!
 //! A [`LinkCore`] owns everything one sender→receiver pair needs — traffic
 //! source, `Qmax` queue, CSMA-CA transaction, channel, RNG streams, energy
 //! meter and streaming metrics fold. What it does *not* own is the medium:
 //! every clear-channel assessment and every frame airtime is routed through
-//! the [`Medium`] trait. The single-link path plugs in [`Isolated`], whose
-//! CCA is the legacy probabilistic draw and whose interference resolution
-//! is a no-op — the compiler monomorphizes those calls away, so the
-//! refactor is bit-for-bit and performance-neutral for N = 1. The network
-//! path plugs in a shared-air implementation that samples *actual* channel
-//! occupancy and resolves overlapping frames by SINR.
+//! the [`Medium`] trait, which the network's shared air implements by
+//! sampling *actual* channel occupancy and resolving overlapping frames by
+//! SINR. A lone link's medium falls back to the configured
+//! external-interferer CCA draw and never reports an overlap, so a
+//! one-link scenario draws exactly what the golden single-link
+//! [`simulation`](crate::simulation) draws, in the same order.
 
-use rand::rngs::StdRng;
 use rand::Rng;
 
 use wsn_mac::queue::{Admission, TxQueue};
@@ -33,9 +30,8 @@ use crate::metrics::{LinkMetrics, MetricsAccumulator, RunTotals};
 use crate::record::{PacketFate, PacketRecord};
 use crate::traffic::TrafficModel;
 
-/// The two per-link event kinds. Embedders map these into their own event
-/// vocabulary (the single-link model uses them directly; the network model
-/// tags them with a link index).
+/// The two per-link event kinds; the network model tags them with a link
+/// index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LinkEv {
     /// An application packet arrives.
@@ -48,8 +44,8 @@ pub(crate) enum LinkEv {
 ///
 /// The contract that keeps N = 1 bit-identical: an implementation whose
 /// `cca_busy` is exactly [`Transaction::sample_cca_busy`] and whose
-/// `frame_interference_dbm` returns `None` reproduces the pre-refactor
-/// single-link behavior including RNG draw order.
+/// `frame_interference_dbm` returns `None` reproduces the golden
+/// single-link run, RNG draw order included.
 pub(crate) trait Medium {
     /// One clear-channel assessment for `link` at time `now`. Called
     /// exactly once per CCA with the backoff RNG; implementations that
@@ -76,37 +72,6 @@ pub(crate) trait Medium {
 
     /// Capture threshold, dB: an overlapped frame below this SINR is lost.
     fn capture_db(&self) -> f64;
-}
-
-/// The single-link medium: no other transmitters exist, so CCA reduces to
-/// the configured external-interferer probability and frames never overlap.
-pub(crate) struct Isolated;
-
-impl Medium for Isolated {
-    fn cca_busy<R: Rng + ?Sized>(
-        &mut self,
-        _link: usize,
-        _now: SimTime,
-        txn: &Transaction,
-        rng: &mut R,
-    ) -> bool {
-        Transaction::sample_cca_busy(txn, rng)
-    }
-
-    fn frame_on_air(&mut self, _link: usize, _start: SimTime, _end: SimTime) {}
-
-    fn frame_interference_dbm(
-        &mut self,
-        _link: usize,
-        _start: SimTime,
-        _end: SimTime,
-    ) -> Option<f64> {
-        None
-    }
-
-    fn capture_db(&self) -> f64 {
-        f64::NEG_INFINITY
-    }
 }
 
 /// Metadata of a packet waiting in (or at the head of) the queue.
@@ -136,11 +101,9 @@ struct Active {
 /// network path: `LinkCore<StdRng>` is the golden engine (ChaCha12 +
 /// Box–Muller, bit-for-bit the single-link behavior) and
 /// `LinkCore<FastRng>` the fast engine (xoshiro256++ + Ziggurat,
-/// statistically equivalent). The default keeps the single-link
-/// simulator's spelling unchanged.
-pub(crate) struct LinkCore<R = StdRng> {
-    /// This link's index in its scenario (0 for the single-link path);
-    /// passed to every [`Medium`] call.
+/// statistically equivalent).
+pub(crate) struct LinkCore<R> {
+    /// This link's index in its scenario; passed to every [`Medium`] call.
     index: usize,
     cfg: StackConfig,
     channel: Channel,
@@ -179,7 +142,7 @@ pub(crate) struct LinkCore<R = StdRng> {
 
 impl<R: NormalSampler> LinkCore<R> {
     /// Builds a link core with its five named RNG streams drawn from
-    /// `factory` — the same derivation order as the single-link simulator,
+    /// `factory` — the same streams the single-link simulator draws,
     /// which is what makes a 1-link scenario bit-identical to it.
     pub(crate) fn new(
         index: usize,

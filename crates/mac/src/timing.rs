@@ -33,6 +33,9 @@ pub const INITIAL_BACKOFF_MAX_UNITS: u32 = 32;
 /// Mean initial backoff `T_BO` = 16.5 × 320 µs = 5.28 ms.
 pub const MEAN_INITIAL_BACKOFF: SimDuration = SimDuration::from_micros(5_280);
 
+/// One clear-channel assessment (8 symbols of listening), 128 µs.
+pub const CCA_TIME: SimDuration = SimDuration::from_micros(128);
+
 /// Congestion backoff (after busy CCA) is uniform over `1..=8` units.
 pub const CONGESTION_BACKOFF_MAX_UNITS: u32 = 8;
 

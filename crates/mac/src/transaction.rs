@@ -294,9 +294,8 @@ impl Transaction {
                 if forced || sampled {
                     self.cca_retries += 1;
                     self.phase = Phase::Backoff { congestion: true };
-                    // CCA itself takes 8 symbols = 128 µs of listening.
                     return Action::Wait {
-                        duration: SimDuration::from_micros(128),
+                        duration: timing::CCA_TIME,
                         activity: RadioActivity::Listen,
                     };
                 }

@@ -60,7 +60,13 @@ impl EnergyMeter {
 
     /// Accounts `duration` of transmission at `level`.
     pub fn add_tx(&mut self, level: PowerLevel, duration: SimDuration) {
-        self.breakdown.tx_j += cc2420::tx_power_w(level) * duration.as_secs_f64();
+        self.add_tx_w(cc2420::tx_power_w(level), duration);
+    }
+
+    /// Accounts `duration` of transmission at a drain of `power_w` watts,
+    /// for callers that looked up [`cc2420::tx_power_w`] once per run.
+    pub fn add_tx_w(&mut self, power_w: f64, duration: SimDuration) {
+        self.breakdown.tx_j += power_w * duration.as_secs_f64();
         self.tx_time_us += duration.as_micros();
     }
 

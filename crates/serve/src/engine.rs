@@ -731,9 +731,9 @@ impl Engine {
         &self.profiles[profile as usize]
     }
 
-    /// Runs one configuration under the requested engine mode. Only the
-    /// golden engine has an event loop, and only its load feeds the
-    /// executor counters.
+    /// Runs one configuration under the requested engine mode. No
+    /// single-link engine has an event loop, so only `scenario` runs feed
+    /// the executor counters.
     fn simulate(
         &self,
         config: StackConfig,
@@ -741,11 +741,7 @@ impl Engine {
         seed: u64,
         engine: EngineMode,
     ) -> LinkMetrics {
-        let outcome = self.paper().runner.run(engine, config, packets, seed);
-        if let Some(exec) = &outcome.exec {
-            self.stats.observe_exec(exec);
-        }
-        outcome.metrics
+        self.paper().runner.run(engine, config, packets, seed)
     }
 
     /// The `tune` op: the ε-constraint optimum over the paper grid. The
@@ -796,7 +792,6 @@ impl Engine {
                 paper
                     .runner
                     .run(EngineMode::Fast, config, DEFAULT_PACKETS, DEFAULT_SEED)
-                    .metrics
             }),
             analytic,
         }))
@@ -864,7 +859,6 @@ impl Engine {
         let simulate = |config: StackConfig| {
             ctx.runner
                 .run(engine, config, DEFAULT_PACKETS, DEFAULT_SEED)
-                .metrics
         };
         let scanned = Cell::new(0);
         let outcome = explore_grid(&grid, budget, |_, config| {
@@ -1610,7 +1604,13 @@ mod tests {
         assert_eq!(v.field("cache_misses").as_u64(), Some(1));
         assert_eq!(v.field("cache_hit_rate").as_f64(), Some(0.5));
         assert_eq!(v.field("cache_entries").as_u64(), Some(1));
-        // The one executed simulation surfaced its executor load.
+        // A single-link simulate runs without an executor …
+        assert_eq!(v.field("sim").field("runs").as_u64(), Some(0));
+        // … and the one executed scenario surfaces its executor load.
+        let scenario = body(r#"{"op":"scenario","scenario":"hidden-pair","packets":40}"#);
+        engine.execute(&scenario).unwrap();
+        let stats = engine.execute(&body(r#"{"op":"stats"}"#)).unwrap();
+        let v = serde_json::parse(&stats.body).unwrap();
         assert_eq!(v.field("sim").field("runs").as_u64(), Some(1));
         assert!(v.field("sim").field("events_handled").as_u64().unwrap() > 0);
     }

@@ -396,34 +396,136 @@ fn arb_stack_config() -> impl Strategy<Value = StackConfig> {
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// Payloads whose deterministic per-packet service time (SPI load,
+/// turnaround, frame airtime and ACK reception) is a multiple of 40 µs.
+/// Every backoff is a multiple of 320 µs, so a first-try departure of
+/// such a packet lands on a whole millisecond one time in 25 — exactly
+/// when a periodic arrival is due, which is the same-instant tie the
+/// scheduler's `(time, sequence)` rule decides.
+fn tie_payloads() -> Vec<u16> {
+    use wsn_linkconf::mac::timing;
+    (1u16..=114)
+        .filter(|&bytes| {
+            let payload = PayloadSize::new(bytes).expect("valid payload");
+            let fixed = timing::spi_load(payload)
+                + timing::TURNAROUND
+                + timing::frame_time(payload)
+                + timing::ACK_RECEIVE;
+            fixed.as_micros().is_multiple_of(40)
+        })
+        .collect()
+}
 
-    /// Satellite 3: any one-link scenario produces `LinkMetrics`
-    /// identical to the direct link-sim path — every field, every bit.
+/// `Qmax` = 1 links that are busy about as long as the arrival period:
+/// arrivals keep meeting departures at the same instant.
+fn arb_tie_config() -> impl Strategy<Value = StackConfig> {
+    (
+        prop::sample::select(tie_payloads()),
+        (1u32..=20),
+        (1u8..=31),
+        (5u32..=40),
+    )
+        .prop_map(|(payload, tpkt, power, dist)| {
+            StackConfig::builder()
+                .distance_m(dist as f64)
+                .power_level(power)
+                .max_tries(3)
+                .retry_delay_ms(0)
+                .queue_cap(1)
+                .packet_interval_ms(tpkt)
+                .payload_bytes(payload)
+                .build()
+                .expect("all components validated")
+        })
+}
+
+/// One randomized single-link case for the N = 1 oracle.
+#[derive(Debug, Clone)]
+struct SingleLinkCase {
+    config: StackConfig,
+    seed: u64,
+    packets: u64,
+    traffic: TrafficModel,
+    channel: ChannelConfig,
+    horizon: Option<SimDuration>,
+}
+
+fn arb_single_link_case() -> impl Strategy<Value = SingleLinkCase> {
+    (
+        (any::<bool>(), arb_stack_config(), arb_tie_config())
+            .prop_map(|(tie, any_config, tie_config)| if tie { tie_config } else { any_config }),
+        any::<u64>(),
+        prop::sample::select(vec![40u64, 400]),
+        prop::sample::select(vec![
+            TrafficModel::Periodic,
+            TrafficModel::Poisson,
+            TrafficModel::Saturating,
+        ]),
+        any::<bool>(),
+        prop::option::of(50u64..=2_000),
+    )
+        .prop_map(
+            |(config, seed, packets, traffic, case_study, horizon_ms)| SingleLinkCase {
+                config,
+                seed,
+                packets,
+                traffic,
+                channel: if case_study {
+                    ChannelConfig::case_study()
+                } else {
+                    ChannelConfig::paper_hallway()
+                },
+                horizon: horizon_ms.map(SimDuration::from_millis),
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any one-link scenario reproduces the direct golden run: every
+    /// `LinkMetrics` field bit for bit, the end time, and the record
+    /// stream record by record, across traffic models, channels,
+    /// horizons, run lengths and same-instant arrival/departure ties.
     #[test]
-    fn any_single_link_scenario_matches_direct_simulation(
-        config in arb_stack_config(),
-        seed in any::<u64>(),
-    ) {
-        let direct = LinkSimulation::new(config, SimOptions {
-            packets: 40,
-            seed,
-            channel: ChannelConfig::paper_hallway(),
-            traffic: TrafficModel::Periodic,
-            record_packets: false,
-            horizon: None,
+    fn any_single_link_scenario_matches_direct_simulation(case in arb_single_link_case()) {
+        let direct = LinkSimulation::new(case.config, SimOptions {
+            packets: case.packets,
+            seed: case.seed,
+            channel: case.channel,
+            traffic: case.traffic,
+            record_packets: true,
+            horizon: case.horizon,
             trajectory: Trajectory::Stationary,
         })
         .run();
 
         let net = NetworkSimulation::new(
-            Scenario::single(config),
-            NetOptions::quick(40).with_seed(seed),
+            Scenario::single(case.config),
+            NetOptions {
+                channel: case.channel,
+                traffic: case.traffic,
+                record_packets: true,
+                horizon: case.horizon,
+                ..NetOptions::quick(case.packets).with_seed(case.seed)
+            },
         )
         .run();
 
         prop_assert_eq!(net.links.len(), 1);
-        prop_assert_eq!(&net.links[0].metrics, direct.metrics());
+        let link = &net.links[0];
+        // Debug renders every float exactly (NaN and -0.0 included), so
+        // equal strings mean equal bits.
+        prop_assert_eq!(format!("{:?}", link.metrics), format!("{:?}", direct.metrics()));
+        prop_assert_eq!(net.end_time, direct.end_time);
+        prop_assert_eq!(net.stop, direct.stop);
+        let (ours, theirs) = (
+            direct.records.as_deref().expect("records requested"),
+            link.records.as_deref().expect("records requested"),
+        );
+        prop_assert_eq!(ours.len(), theirs.len());
+        for (mine, net_record) in ours.iter().zip(theirs) {
+            prop_assert_eq!(format!("{mine:?}"), format!("{net_record:?}"));
+        }
     }
 }
