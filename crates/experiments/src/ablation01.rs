@@ -52,13 +52,13 @@ fn aggregate_per(
         cfg,
         PowerLevel::MAX,
         Distance::from_meters(d.max(0.1)).expect("positive"),
+        rand::rngs::StdRng::seed_from_u64(seed),
+        rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF),
     );
-    let mut fading = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut noise = rand::rngs::StdRng::seed_from_u64(seed ^ 0xBEEF);
     let mut delivery = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCAFE);
     let mut lost = 0usize;
     for _ in 0..trials {
-        let obs = channel.observe(&mut fading, &mut noise);
+        let obs = channel.observe();
         if !channel.data_success(&obs, payload, &mut delivery) {
             lost += 1;
         }

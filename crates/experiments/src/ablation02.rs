@@ -44,17 +44,21 @@ pub fn run(scale: Scale) -> Report {
     let mut worst_under = 0.0f64;
     for (i, &p) in POWERS.iter().enumerate() {
         let power = PowerLevel::new(p).expect("valid");
-        let mut channel = Channel::new(real_cfg, power, distance);
+        let mut channel = Channel::new(
+            real_cfg,
+            power,
+            distance,
+            rand::rngs::StdRng::seed_from_u64(1 + i as u64),
+            rand::rngs::StdRng::seed_from_u64(11 + i as u64),
+        );
         // "Assumed" SNR: RSSI minus the constant −95 dBm floor.
         let assumed_snr = channel.mean_rssi_dbm() - -95.0;
         let predicted = per_model.eval_prob(payload, assumed_snr);
 
-        let mut fading = rand::rngs::StdRng::seed_from_u64(1 + i as u64);
-        let mut noise = rand::rngs::StdRng::seed_from_u64(11 + i as u64);
         let mut delivery = rand::rngs::StdRng::seed_from_u64(21 + i as u64);
         let mut lost = 0usize;
         for _ in 0..trials {
-            let obs = channel.observe(&mut fading, &mut noise);
+            let obs = channel.observe();
             if !channel.data_success(&obs, payload, &mut delivery) {
                 lost += 1;
             }

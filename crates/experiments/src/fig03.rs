@@ -35,11 +35,15 @@ pub fn run(scale: Scale) -> Report {
 
     for (i, &d) in FIT_DISTANCES.iter().enumerate() {
         let distance = Distance::from_meters(d).expect("positive distance");
-        let mut channel = Channel::new(ChannelConfig::paper_hallway(), power, distance);
-        let mut fading = rand::rngs::StdRng::seed_from_u64(100 + i as u64);
-        let mut noise = rand::rngs::StdRng::seed_from_u64(200 + i as u64);
+        let mut channel = Channel::new(
+            ChannelConfig::paper_hallway(),
+            power,
+            distance,
+            rand::rngs::StdRng::seed_from_u64(100 + i as u64),
+            rand::rngs::StdRng::seed_from_u64(200 + i as u64),
+        );
         let rssi: Vec<f64> = (0..samples_per_distance)
-            .map(|_| channel.observe(&mut fading, &mut noise).rssi_dbm)
+            .map(|_| channel.observe().rssi_dbm)
             .collect();
         let mean = mean_of(rssi.iter().copied());
         let std = std_of(&rssi);

@@ -23,11 +23,15 @@ use crate::sweep::{std_of, GRID_DISTANCES, GRID_POWERS};
 fn reported_rssi_std(power: u8, distance_m: f64, samples: usize, seed: u64) -> f64 {
     let power = PowerLevel::new(power).expect("grid power");
     let distance = Distance::from_meters(distance_m).expect("grid distance");
-    let mut channel = Channel::new(ChannelConfig::paper_hallway(), power, distance);
-    let mut fading = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut noise = rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD);
+    let mut channel = Channel::new(
+        ChannelConfig::paper_hallway(),
+        power,
+        distance,
+        rand::rngs::StdRng::seed_from_u64(seed),
+        rand::rngs::StdRng::seed_from_u64(seed ^ 0xABCD),
+    );
     let rssi: Vec<f64> = (0..samples)
-        .map(|_| channel.observe(&mut fading, &mut noise).rssi_dbm)
+        .map(|_| channel.observe().rssi_dbm)
         .filter(|&r| r >= SENSITIVITY_DBM)
         .collect();
     std_of(&rssi)

@@ -21,12 +21,10 @@ fn snr_samples(channel_cfg: ChannelConfig, n: usize, seed: u64) -> Vec<f64> {
         channel_cfg,
         PowerLevel::new(19).expect("valid"),
         Distance::from_meters(30.0).expect("valid"),
+        rand::rngs::StdRng::seed_from_u64(seed),
+        rand::rngs::StdRng::seed_from_u64(seed ^ 0xF00D),
     );
-    let mut fading = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut noise = rand::rngs::StdRng::seed_from_u64(seed ^ 0xF00D);
-    (0..n)
-        .map(|_| channel.observe(&mut fading, &mut noise).snr_db)
-        .collect()
+    (0..n).map(|_| channel.observe().snr_db).collect()
 }
 
 fn histogram(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<f64> {

@@ -149,18 +149,8 @@ impl FastLinkSimulation {
 
     /// Runs the simulation to completion and summarises it.
     pub fn run(self) -> FastOutcome {
-        let channel = match &self.budgets {
-            Some(table) if *table.config() == self.options.channel => {
-                table.channel(self.config.power, self.config.distance)
-            }
-            _ => Channel::new(
-                self.options.channel,
-                self.config.power,
-                self.config.distance,
-            ),
-        };
         let root = fast_seed(&self.config, self.options.seed);
-        let run = FastRun::new(self.config, channel, &self.options, root);
+        let run = FastRun::new(self.config, &self.options, self.budgets.as_deref(), root);
         run.execute(self.config, &self.options)
     }
 }
@@ -186,9 +176,8 @@ struct Served {
 /// fold needs.
 struct FastRun {
     cfg: StackConfig,
-    channel: Channel,
-    rng_fading: FastRng,
-    rng_noise: FastRng,
+    /// The channel, with the fading and noise streams it observes from.
+    channel: Channel<FastRng>,
     rng_delivery: FastRng,
     rng_backoff: FastRng,
     rng_traffic: FastRng,
@@ -217,7 +206,12 @@ struct FastRun {
 }
 
 impl FastRun {
-    fn new(cfg: StackConfig, channel: Channel, options: &SimOptions, root: u64) -> Self {
+    fn new(
+        cfg: StackConfig,
+        options: &SimOptions,
+        budgets: Option<&LinkBudgetTable>,
+        root: u64,
+    ) -> Self {
         // Five independent streams, one per golden `StreamId` role, each
         // its own splitmix64 lane off the root seed.
         let mut lane = root;
@@ -225,10 +219,16 @@ impl FastRun {
             lane = splitmix64(lane);
             FastRng::new(lane)
         };
+        let (fading, noise) = (next(), next());
+        let (power, distance) = (cfg.power, cfg.distance);
+        let channel = match budgets {
+            Some(table) if *table.config() == options.channel => {
+                table.channel(power, distance, fading, noise)
+            }
+            _ => Channel::new(options.channel, power, distance, fading, noise),
+        };
         let cca_prob = channel.cca_busy_probability();
         FastRun {
-            rng_fading: next(),
-            rng_noise: next(),
             rng_delivery: next(),
             rng_backoff: next(),
             rng_traffic: next(),
@@ -257,10 +257,11 @@ impl FastRun {
         }
     }
 
-    /// Serves one packet starting at absolute time `start_us`, replaying
-    /// the CSMA-CA transaction's timing and draw structure arithmetically.
-    /// Mirrors `wsn_mac::transaction::Transaction` phase by phase.
-    fn serve(&mut self, start_us: u64) -> Served {
+    /// Serves one packet, replaying the CSMA-CA transaction's timing and
+    /// draw structure arithmetically; the returned service time is relative
+    /// to the service start. Mirrors `wsn_mac::transaction::Transaction`
+    /// phase by phase.
+    fn serve(&mut self) -> Served {
         let mut t: u64 = 0;
         let mut tries: u8 = 0;
         let mut copies: u32 = 0;
@@ -309,9 +310,7 @@ impl FastRun {
             // Channel observation at the moment the frame lands (golden
             // resolves motion at the same point: end of the frame wait).
             // The isolated medium contributes no co-channel interference.
-            let obs = self
-                .channel
-                .observe(&mut self.rng_fading, &mut self.rng_noise);
+            let obs = self.channel.observe();
             let delivered =
                 self.channel
                     .data_success(&obs, self.cfg.payload, &mut self.rng_delivery);
@@ -347,7 +346,6 @@ impl FastRun {
             self.idle_us += self.retry_us;
             t += self.retry_us;
         }
-        let _ = start_us; // Reserved for motion profiles (see `execute`).
         Served {
             service_us: t,
             tries,
@@ -409,7 +407,7 @@ impl FastRun {
         // incrementally; the first-frame point is within one service time
         // of golden's, far inside the trajectory's time scale.)
         self.retarget_at(start_us, options);
-        let served = self.serve(start_us);
+        let served = self.serve();
         let done_us = start_us + served.service_us;
         self.busy_us += served.service_us;
         self.duplicates += served.copies.saturating_sub(1) as u64;

@@ -19,7 +19,7 @@ use wsn_mac::transaction::{Action, RadioActivity, Transaction, TxOutcome};
 use wsn_params::config::StackConfig;
 use wsn_params::motion::Trajectory;
 use wsn_params::types::{Distance, PowerLevel};
-use wsn_radio::channel::{lqi_from_snr, Channel, Observation};
+use wsn_radio::channel::{lqi_from_snr, Channel, ChannelConfig, Observation};
 use wsn_radio::energy::EnergyMeter;
 use wsn_radio::interference::combine_dbm;
 use wsn_sim_engine::executor::Scheduler;
@@ -102,15 +102,14 @@ struct Active {
 /// Box–Muller, bit-for-bit the single-link behavior) and
 /// `LinkCore<FastRng>` the fast engine (xoshiro256++ + Ziggurat,
 /// statistically equivalent).
-pub(crate) struct LinkCore<R> {
+pub(crate) struct LinkCore<R: NormalSampler> {
     /// This link's index in its scenario; passed to every [`Medium`] call.
     index: usize,
     cfg: StackConfig,
-    channel: Channel,
+    /// The channel, with the fading and noise streams it observes from.
+    channel: Channel<R>,
     /// Pristine per-packet MAC transaction, copied on each service start.
     txn_template: Transaction,
-    rng_fading: R,
-    rng_noise: R,
     rng_delivery: R,
     rng_backoff: R,
     rng_traffic: R,
@@ -141,13 +140,14 @@ pub(crate) struct LinkCore<R> {
 }
 
 impl<R: NormalSampler> LinkCore<R> {
-    /// Builds a link core with its five named RNG streams drawn from
-    /// `factory` — the same streams the single-link simulator draws,
-    /// which is what makes a 1-link scenario bit-identical to it.
+    /// Builds a link core on the `environment` channel with its five named
+    /// RNG streams drawn from `factory` — the same streams the single-link
+    /// simulator draws, which is what makes a 1-link scenario
+    /// bit-identical to it.
     pub(crate) fn new(
         index: usize,
         cfg: StackConfig,
-        channel: Channel,
+        environment: ChannelConfig,
         traffic: TrafficModel,
         trajectory: Trajectory,
         budget: u64,
@@ -156,6 +156,13 @@ impl<R: NormalSampler> LinkCore<R> {
     where
         R: FactoryStream,
     {
+        let channel = Channel::new(
+            environment,
+            cfg.power,
+            cfg.distance,
+            R::from_factory(factory, StreamId::Fading),
+            R::from_factory(factory, StreamId::Noise),
+        );
         // The MAC transaction state machine starts every packet from the
         // same state; build it once and copy per packet instead of
         // re-deriving the CCA busy probability each service start.
@@ -170,8 +177,6 @@ impl<R: NormalSampler> LinkCore<R> {
             cfg,
             channel,
             txn_template,
-            rng_fading: R::from_factory(factory, StreamId::Fading),
-            rng_noise: R::from_factory(factory, StreamId::Noise),
             rng_delivery: R::from_factory(factory, StreamId::Delivery),
             rng_backoff: R::from_factory(factory, StreamId::Backoff),
             rng_traffic: R::from_factory(factory, StreamId::Traffic),
@@ -395,9 +400,7 @@ impl<R: NormalSampler> LinkCore<R> {
                             .distance_at(now.as_secs_f64(), self.cfg.distance);
                         self.channel.retarget(self.cfg.power, here);
                     }
-                    let mut obs = self
-                        .channel
-                        .observe(&mut self.rng_fading, &mut self.rng_noise);
+                    let mut obs = self.channel.observe();
                     // Resolve the frame that just finished its airtime
                     // against the medium: overlapped frames see the summed
                     // foreign power as extra noise and are lost outright

@@ -123,27 +123,115 @@ impl LinkMetrics {
 ///
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    percentile_of(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`percentile`] of the sorted sequence whose `i`-th value is `at(i)`.
+fn percentile_of(len: usize, q: f64, at: impl Fn(usize) -> f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-    match sorted.len() {
+    match len {
         0 => 0.0,
-        1 => sorted[0],
+        1 => at(0),
         n => {
             let pos = q * (n - 1) as f64;
             let lo = pos.floor() as usize;
             let hi = pos.ceil() as usize;
             let frac = pos - lo as f64;
-            sorted[lo] + frac * (sorted[hi] - sorted[lo])
+            at(lo) + frac * (at(hi) - at(lo))
         }
     }
 }
 
 /// Arithmetic mean; 0.0 for an empty slice.
 pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
+    mean_of(values.iter().copied())
+}
+
+/// [`mean`] of a sequence, summed in iteration order.
+fn mean_of(values: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n = values.len();
+    if n == 0 {
         0.0
     } else {
-        values.iter().sum::<f64>() / values.len() as f64
+        values.sum::<f64>() / n as f64
     }
+}
+
+/// Mean and p50/p95/p99 of a run's delivered delays, ms.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DelayStats {
+    mean_ms: f64,
+    p50_ms: f64,
+    p95_ms: f64,
+    p99_ms: f64,
+}
+
+impl DelayStats {
+    /// Folds delays given as integer µs, in any order. Sorting the
+    /// integers and converting afterwards gives the sorted ms values
+    /// exactly (the conversion is monotone), and the mean adds them one
+    /// by one in ascending order, so every statistic has the bits of
+    /// [`mean`] and [`percentile`] over the sorted ms values.
+    fn of_micros(delays_us: &mut [u64]) -> DelayStats {
+        let mut scratch = Vec::new();
+        let sorted = radix_sort(delays_us, &mut scratch);
+        let ms = |i: usize| SimDuration::from_micros(sorted[i]).as_millis_f64();
+        DelayStats {
+            mean_ms: mean_of((0..sorted.len()).map(ms)),
+            p50_ms: percentile_of(sorted.len(), 0.50, ms),
+            p95_ms: percentile_of(sorted.len(), 0.95, ms),
+            p99_ms: percentile_of(sorted.len(), 0.99, ms),
+        }
+    }
+}
+
+/// Sorts `keys` ascending with a least-significant-digit radix sort on
+/// bytes, skipping every byte that all keys share, and returns the sorted
+/// keys: in `keys` itself or in `scratch`, whichever the last pass wrote.
+///
+/// A run's delays are a few hundred keys with few distinct values that
+/// differ only in their low three or four bytes, so this takes three or
+/// four linear passes where a comparison sort takes `n log n` branches.
+fn radix_sort<'a>(keys: &'a mut [u64], scratch: &'a mut Vec<u64>) -> &'a [u64] {
+    let Some(&first) = keys.first() else {
+        return keys;
+    };
+    let varying = keys.iter().fold(0, |acc, &k| acc | (k ^ first));
+    let mut shifts = [0u32; 8];
+    let mut passes = 0;
+    for byte in 0..8 {
+        if (varying >> (8 * byte)) & 0xFF != 0 {
+            shifts[passes] = 8 * byte;
+            passes += 1;
+        }
+    }
+    let shifts = &shifts[..passes];
+    if passes == 0 {
+        return keys;
+    }
+    let mut counts = [[0u32; 256]; 8];
+    for &k in keys.iter() {
+        for (count, &shift) in counts.iter_mut().zip(shifts) {
+            count[(k >> shift) as u8 as usize] += 1;
+        }
+    }
+    scratch.resize(keys.len(), 0);
+    let (mut src, mut dst): (&mut [u64], &mut [u64]) = (keys, scratch);
+    for (count, &shift) in counts.iter().zip(shifts) {
+        let mut next = [0u32; 256];
+        let mut at = 0;
+        for (slot, &c) in next.iter_mut().zip(count) {
+            *slot = at;
+            at += c;
+        }
+        for &k in src.iter() {
+            let digit = (k >> shift) as u8 as usize;
+            dst[next[digit] as usize] = k;
+            next[digit] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+    }
+    src
 }
 
 /// Model-side aggregate counters a [`MetricsAccumulator`] cannot derive from
@@ -185,8 +273,8 @@ pub struct RunTotals {
 /// [`observe`](Self::observe) ingests records one at a time;
 /// [`finish`](Self::finish) combines the fold with the model-side
 /// [`RunTotals`] into the final summary. Only delivered-packet delays are
-/// buffered (as integer µs, to keep percentiles exact and the sort a plain
-/// integer sort); everything else is O(1) state, so memory is bounded by
+/// buffered (as integer µs, to keep percentiles exact and the sort a
+/// radix sort); everything else is O(1) state, so memory is bounded by
 /// the delivered count — at most the per-configuration packet budget (4500
 /// in the paper's protocol) — rather than by total records retained.
 ///
@@ -194,7 +282,7 @@ pub struct RunTotals {
 /// as the historical batch summariser, so the resulting [`LinkMetrics`] are
 /// bit-for-bit identical (see `summarise_records`): the delays are sorted
 /// as integers and only then converted to ms, and the conversion is
-/// monotone, so the sorted ms array is the batch path's exactly.
+/// monotone, so the sorted ms values are the batch path's exactly.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsAccumulator {
     queue_dropped: u64,
@@ -267,12 +355,7 @@ impl MetricsAccumulator {
     /// Completes the fold into a [`LinkMetrics`] summary.
     pub fn finish(mut self, t: &RunTotals) -> LinkMetrics {
         let duration_s = t.duration.as_secs_f64().max(f64::MIN_POSITIVE);
-        self.delays_us.sort_unstable();
-        let delays_ms: Vec<f64> = self
-            .delays_us
-            .iter()
-            .map(|&us| SimDuration::from_micros(us).as_millis_f64())
-            .collect();
+        let delays = DelayStats::of_micros(&mut self.delays_us);
 
         let residual = t.generated - self.queue_dropped - self.radio_lost - self.delivered;
         let delivered_bits = self.delivered as f64 * t.payload_bits as f64;
@@ -306,10 +389,10 @@ impl MetricsAccumulator {
             },
             goodput_bps: delivered_bits / duration_s,
             offered_bps: t.offered_bps,
-            delay_mean_ms: mean(&delays_ms),
-            delay_p50_ms: percentile(&delays_ms, 0.50),
-            delay_p95_ms: percentile(&delays_ms, 0.95),
-            delay_p99_ms: percentile(&delays_ms, 0.99),
+            delay_mean_ms: delays.mean_ms,
+            delay_p50_ms: delays.p50_ms,
+            delay_p95_ms: delays.p95_ms,
+            delay_p99_ms: delays.p99_ms,
             service_mean_ms: if self.completed > 0 {
                 self.services_sum_ms / self.completed as f64
             } else {
@@ -470,6 +553,66 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn percentile_rejects_bad_quantile() {
         let _ = percentile(&[1.0], 1.5);
+    }
+
+    /// The delay fold as first written: a comparison sort, then every
+    /// delay converted into a ms vector that `mean` and `percentile` read.
+    fn delay_stats_by_comparison_sort(delays_us: &[u64]) -> DelayStats {
+        let mut sorted = delays_us.to_vec();
+        sorted.sort_unstable();
+        let ms: Vec<f64> = sorted
+            .iter()
+            .map(|&us| SimDuration::from_micros(us).as_millis_f64())
+            .collect();
+        DelayStats {
+            mean_ms: mean(&ms),
+            p50_ms: percentile(&ms, 0.50),
+            p95_ms: percentile(&ms, 0.95),
+            p99_ms: percentile(&ms, 0.99),
+        }
+    }
+
+    #[test]
+    fn radix_delay_fold_equals_comparison_sort_fold() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = wsn_sim_engine::rng::splitmix64(state);
+            state
+        };
+        for n in [0usize, 1, 2, 3, 400, 4_500] {
+            // Keys up to 2^40, up to 2^20, and heavy ties: a handful of
+            // distinct values (as a config's service times give), or one.
+            for (bits, distinct) in [(40u32, 0u64), (20, 0), (24, 5), (33, 1), (40, 64)] {
+                let mut delays: Vec<u64> = (0..n)
+                    .map(|_| {
+                        let key = next() >> (64 - bits);
+                        if distinct == 0 {
+                            key
+                        } else {
+                            (key % distinct) * 320 + (1 << (bits - 1))
+                        }
+                    })
+                    .collect();
+                let mut expected_order = delays.clone();
+                expected_order.sort_unstable();
+                let expected = delay_stats_by_comparison_sort(&delays);
+                let mut scratch = Vec::new();
+                assert_eq!(
+                    radix_sort(&mut delays.clone(), &mut scratch),
+                    expected_order
+                );
+                let got = DelayStats::of_micros(&mut delays);
+                let what = format!("n={n} bits={bits} distinct={distinct}");
+                for (a, b) in [
+                    (got.mean_ms, expected.mean_ms),
+                    (got.p50_ms, expected.p50_ms),
+                    (got.p95_ms, expected.p95_ms),
+                    (got.p99_ms, expected.p99_ms),
+                ] {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: {a} vs {b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ use wsn_params::config::StackConfig;
 use wsn_params::scenario::{Position, Scenario};
 use wsn_params::timeline::{ScenarioTimeline, TopologyAction};
 use wsn_params::types::{Distance, PowerLevel};
-use wsn_radio::channel::{Channel, ChannelConfig};
+use wsn_radio::channel::ChannelConfig;
 use wsn_radio::interference::InterferenceModel;
 use wsn_sim_engine::executor::{ExecStats, Executor, Model, Scheduler, StopReason};
 use wsn_sim_engine::mode::EngineMode;
@@ -375,15 +375,10 @@ impl NetworkSimulation {
                 } else {
                     base.derive(i as u64)
                 };
-                let channel = Channel::new(
-                    self.options.channel,
-                    spec.config.power,
-                    spec.config.distance,
-                );
                 LinkCore::new(
                     i,
                     spec.config,
-                    channel,
+                    self.options.channel,
                     self.options.traffic,
                     spec.trajectory,
                     self.options.packets,
@@ -490,7 +485,7 @@ enum NetKind {
     EpochTick,
 }
 
-struct NetModel<R> {
+struct NetModel<R: NormalSampler> {
     links: Vec<LinkCore<R>>,
     air: SharedAir,
     timeline: ScenarioTimeline,

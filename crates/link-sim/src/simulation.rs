@@ -224,17 +224,17 @@ impl LinkSimulation {
     /// summary metrics but no record vector; peak memory is O(delivered)
     /// (the exact-percentile delay buffer) regardless of packet count.
     pub fn run_with_sink<S: PacketSink>(self, sink: &mut S) -> SimOutcome {
+        let factory = RngFactory::new(self.options.seed);
+        let fading = factory.stream(StreamId::Fading);
+        let noise = factory.stream(StreamId::Noise);
+        let (power, distance) = (self.config.power, self.config.distance);
         let channel = match &self.budgets {
             Some(table) if *table.config() == self.options.channel => {
-                table.channel(self.config.power, self.config.distance)
+                table.channel(power, distance, fading, noise)
             }
-            _ => Channel::new(
-                self.options.channel,
-                self.config.power,
-                self.config.distance,
-            ),
+            _ => Channel::new(self.options.channel, power, distance, fading, noise),
         };
-        let mut run = GoldenRun::new(self.config, channel, &self.options, sink);
+        let mut run = GoldenRun::new(self.config, channel, &factory, &self.options, sink);
         let stop = match run.drive() {
             Ok(()) => StopReason::QueueEmpty,
             Err(HorizonReached) => {
@@ -285,9 +285,8 @@ struct Pending {
 /// in `(time, sequence)` order.
 struct GoldenRun<'s, S> {
     cfg: StackConfig,
-    channel: Channel,
-    rng_fading: StdRng,
-    rng_noise: StdRng,
+    /// The channel, with the fading and noise streams it observes from.
+    channel: Channel<StdRng>,
     rng_delivery: StdRng,
     rng_backoff: StdRng,
     rng_traffic: StdRng,
@@ -324,12 +323,15 @@ struct GoldenRun<'s, S> {
 }
 
 impl<'s, S: PacketSink> GoldenRun<'s, S> {
-    fn new(cfg: StackConfig, channel: Channel, options: &SimOptions, sink: &'s mut S) -> Self {
-        let factory = RngFactory::new(options.seed);
+    fn new(
+        cfg: StackConfig,
+        channel: Channel<StdRng>,
+        factory: &RngFactory,
+        options: &SimOptions,
+        sink: &'s mut S,
+    ) -> Self {
         let sink_wants = sink.wants_records();
         GoldenRun {
-            rng_fading: factory.stream(StreamId::Fading),
-            rng_noise: factory.stream(StreamId::Noise),
             rng_delivery: factory.stream(StreamId::Delivery),
             rng_backoff: factory.stream(StreamId::Backoff),
             rng_traffic: factory.stream(StreamId::Traffic),
@@ -507,9 +509,7 @@ impl<'s, S: PacketSink> GoldenRun<'s, S> {
                     .distance_at(self.now.as_secs_f64(), self.cfg.distance);
                 self.channel.retarget(self.cfg.power, here);
             }
-            let obs = self
-                .channel
-                .observe(&mut self.rng_fading, &mut self.rng_noise);
+            let obs = self.channel.observe();
             let delivered =
                 self.channel
                     .data_success(&obs, self.cfg.payload, &mut self.rng_delivery);

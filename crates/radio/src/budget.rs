@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use wsn_params::types::{Distance, PowerLevel};
+use wsn_sim_engine::rng::NormalSampler;
 
 use crate::channel::{Channel, ChannelConfig};
 
@@ -83,9 +84,21 @@ impl LinkBudgetTable {
     }
 
     /// A live channel for one operating point, built from the memoized
-    /// budget; identical to `Channel::new(*self.config(), power, distance)`.
-    pub fn channel(&self, power: PowerLevel, distance: Distance) -> Channel {
-        Channel::from_budget(self.config, self.budget(power, distance))
+    /// budget and observed from `fading_rng` and `noise_rng`; identical to
+    /// `Channel::new(*self.config(), power, distance, fading_rng, noise_rng)`.
+    pub fn channel<R: NormalSampler>(
+        &self,
+        power: PowerLevel,
+        distance: Distance,
+        fading_rng: R,
+        noise_rng: R,
+    ) -> Channel<R> {
+        Channel::from_budget(
+            self.config,
+            self.budget(power, distance),
+            fading_rng,
+            noise_rng,
+        )
     }
 
     /// Computes (and memoizes) the budgets for every operating point in
@@ -146,22 +159,21 @@ mod tests {
         let payload = PayloadSize::new(110).unwrap();
         for (power, dist) in [(3u8, 35.0), (11, 20.0), (31, 10.0), (7, 35.0)] {
             let (p, d) = pt(power, dist);
-            let mut direct = Channel::new(config, p, d);
-            let mut memoized = table.channel(p, d);
+            // Identical observation + delivery streams under identical RNGs.
+            let streams = || (StdRng::seed_from_u64(1), StdRng::seed_from_u64(2));
+            let (f1, n1) = streams();
+            let (f2, n2) = streams();
+            let mut direct = Channel::new(config, p, d, f1, n1);
+            let mut memoized = table.channel(p, d, f2, n2);
             assert_eq!(
                 direct.mean_rssi_dbm().to_bits(),
                 memoized.mean_rssi_dbm().to_bits()
             );
-            // Identical observation + delivery streams under identical RNGs.
-            let mut f1 = StdRng::seed_from_u64(1);
-            let mut n1 = StdRng::seed_from_u64(2);
             let mut d1 = StdRng::seed_from_u64(3);
-            let mut f2 = StdRng::seed_from_u64(1);
-            let mut n2 = StdRng::seed_from_u64(2);
             let mut d2 = StdRng::seed_from_u64(3);
             for _ in 0..64 {
-                let a = direct.observe(&mut f1, &mut n1);
-                let b = memoized.observe(&mut f2, &mut n2);
+                let a = direct.observe();
+                let b = memoized.observe();
                 assert_eq!(a.rssi_dbm.to_bits(), b.rssi_dbm.to_bits());
                 assert_eq!(a.snr_db.to_bits(), b.snr_db.to_bits());
                 assert_eq!(a.noise_dbm.to_bits(), b.noise_dbm.to_bits());

@@ -13,7 +13,6 @@
 //!   assessment reports *busy* while it is active, triggering congestion
 //!   backoff instead of a collision.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// An on/off external interferer at the receiver.
@@ -106,15 +105,6 @@ impl InterferenceModel {
         self.duty_cycle <= 0.0
     }
 
-    /// Draws whether the interferer corrupts one attempt (accounting for
-    /// CCA deferral via [`collision_probability`]).
-    ///
-    /// [`collision_probability`]: Self::collision_probability
-    pub fn sample_active<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        let p = self.collision_probability();
-        p > 0.0 && rng.gen::<f64>() < p
-    }
-
     /// The probability that the sender's CCA reports busy.
     pub fn cca_busy_probability(&self) -> f64 {
         if self.cca_detectable {
@@ -146,8 +136,10 @@ pub fn combine_dbm(a_dbm: f64, b_dbm: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{Channel, ChannelConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wsn_params::types::{Distance, PowerLevel};
 
     #[test]
     fn combine_dbm_basics() {
@@ -164,8 +156,7 @@ mod tests {
         let m = InterferenceModel::none();
         assert!(m.is_none());
         assert_eq!(m.cca_busy_probability(), 0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(!(0..64).any(|_| m.sample_active(&mut rng)));
+        assert_eq!(m.collision_probability(), 0.0);
         // −120 dBm on top of −95 dBm is invisible (< 0.02 dB shift).
         assert!((m.effective_noise_dbm(-95.0) - -95.0).abs() < 0.02);
     }
@@ -174,9 +165,17 @@ mod tests {
     fn hidden_interferer_collides_at_duty_cycle_rate() {
         let mut m = InterferenceModel::zigbee_neighbor(0.3);
         m.cca_detectable = false;
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut config = ChannelConfig::ideal();
+        config.interference = m;
+        let mut channel = Channel::new(
+            config,
+            PowerLevel::MAX,
+            Distance::from_meters(10.0).unwrap(),
+            StdRng::seed_from_u64(1),
+            StdRng::seed_from_u64(2),
+        );
         let n = 50_000;
-        let active = (0..n).filter(|_| m.sample_active(&mut rng)).count() as f64 / n as f64;
+        let active = (0..n).filter(|_| channel.observe().interfered).count() as f64 / n as f64;
         assert!((active - 0.3).abs() < 0.01, "active={active}");
         assert_eq!(m.collision_probability(), 0.3);
     }

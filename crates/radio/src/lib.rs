@@ -19,6 +19,7 @@
 //! * [`energy`] — radio-state energy metering.
 //!
 //! ```
+//! use rand::{rngs::StdRng, SeedableRng};
 //! use wsn_radio::prelude::*;
 //! use wsn_params::prelude::*;
 //!
@@ -26,6 +27,8 @@
 //!     ChannelConfig::paper_hallway(),
 //!     PowerLevel::new(11)?,
 //!     Distance::from_meters(35.0)?,
+//!     StdRng::seed_from_u64(1),
+//!     StdRng::seed_from_u64(2),
 //! );
 //! // The paper's headline operating point: Ptx=11 at 35 m ≈ 19 dB mean SNR.
 //! assert!((ch.mean_snr_db() - 19.0).abs() < 0.5);

@@ -12,8 +12,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use wsn_sim_engine::rng::NormalSampler;
-
 /// The constant noise-floor average the paper quotes, dBm.
 pub const NOISE_FLOOR_MEAN_DBM: f64 = -95.0;
 
@@ -60,13 +58,22 @@ impl NoiseModel {
         }
     }
 
-    /// Draws one noise-floor sample, dBm.
+    /// Whether a sample consumes draws: a mixture takes a uniform that
+    /// picks its mode, then a standard normal; a constant floor takes none.
+    pub fn draws(&self) -> bool {
+        matches!(self, NoiseModel::Mixture { .. })
+    }
+
+    /// Finishes one noise-floor sample from its draws, dBm: `mode_u`
+    /// (uniform in `[0, 1)`) picks the interference mode below
+    /// `busy_prob`, and `z` is the standard normal scaled into that mode.
+    /// A constant floor ignores both.
     ///
-    /// Generic over [`NormalSampler`] (the engine-mode sampling seam): the
-    /// generator type selects Box–Muller (golden `StdRng`) or Ziggurat
-    /// (fast [`FastRng`](wsn_sim_engine::rng::FastRng)) for the Gaussian
-    /// components.
-    pub fn sample_dbm<R: NormalSampler + ?Sized>(&self, rng: &mut R) -> f64 {
+    /// The caller draws `z` with its generator's
+    /// [`NormalSampler`](wsn_sim_engine::rng::NormalSampler): Box–Muller
+    /// for the golden `StdRng`, Ziggurat for the fast
+    /// [`FastRng`](wsn_sim_engine::rng::FastRng).
+    pub fn finish_dbm(&self, mode_u: f64, z: f64) -> f64 {
         match *self {
             NoiseModel::Constant { floor_dbm } => floor_dbm,
             NoiseModel::Mixture {
@@ -76,12 +83,12 @@ impl NoiseModel {
                 busy_sigma_db,
                 busy_prob,
             } => {
-                let (mean, sigma) = if rng.gen::<f64>() < busy_prob {
+                let (mean, sigma) = if mode_u < busy_prob {
                     (busy_mean_dbm, busy_sigma_db)
                 } else {
                     (quiet_mean_dbm, quiet_sigma_db)
                 };
-                mean + sigma * rng.sample_standard_normal()
+                mean + sigma * z
             }
         }
     }
@@ -110,14 +117,25 @@ impl Default for NoiseModel {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use wsn_sim_engine::rng::NormalSampler;
+
+    /// One sample, drawn as a channel draws it.
+    fn sample(m: &NoiseModel, rng: &mut StdRng) -> f64 {
+        if m.draws() {
+            let mode_u = rng.gen::<f64>();
+            m.finish_dbm(mode_u, rng.sample_standard_normal())
+        } else {
+            m.finish_dbm(0.0, 0.0)
+        }
+    }
 
     #[test]
     fn constant_model_is_constant() {
         let m = NoiseModel::constant_default();
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..16 {
-            assert_eq!(m.sample_dbm(&mut rng), -95.0);
+        assert!(!m.draws());
+        for (u, z) in [(0.0, 0.0), (0.05, -3.0), (0.99, 2.5)] {
+            assert_eq!(m.finish_dbm(u, z), -95.0);
         }
         assert_eq!(m.mean_dbm(), -95.0);
     }
@@ -128,11 +146,19 @@ mod tests {
     }
 
     #[test]
+    fn mixture_mode_draw_picks_the_component() {
+        let m = NoiseModel::paper_hallway();
+        assert!(m.draws());
+        assert_eq!(m.finish_dbm(0.05, 1.0), -90.5 + 1.5);
+        assert_eq!(m.finish_dbm(0.5, 1.0), -95.5 + 0.8);
+    }
+
+    #[test]
     fn mixture_sample_mean_matches_analytic_mean() {
         let m = NoiseModel::paper_hallway();
         let mut rng = StdRng::seed_from_u64(11);
         let n = 100_000;
-        let mean = (0..n).map(|_| m.sample_dbm(&mut rng)).sum::<f64>() / n as f64;
+        let mean = (0..n).map(|_| sample(&m, &mut rng)).sum::<f64>() / n as f64;
         assert!((mean - m.mean_dbm()).abs() < 0.05, "mean={mean}");
     }
 
@@ -142,7 +168,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let n = 50_000;
         let above_minus_92 = (0..n)
-            .map(|_| m.sample_dbm(&mut rng))
+            .map(|_| sample(&m, &mut rng))
             .filter(|&x| x > -92.0)
             .count() as f64
             / n as f64;

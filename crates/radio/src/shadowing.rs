@@ -19,7 +19,6 @@
 use serde::{Deserialize, Serialize};
 
 use wsn_params::types::Distance;
-use wsn_sim_engine::rng::NormalSampler;
 
 /// Distance-dependent shadowing deviation profile, dB.
 ///
@@ -77,6 +76,7 @@ impl Default for SigmaProfile {
 /// ```
 /// use rand::SeedableRng;
 /// use wsn_params::types::Distance;
+/// use wsn_sim_engine::rng::NormalSampler;
 /// use wsn_radio::shadowing::{Shadowing, SigmaProfile};
 ///
 /// let mut fading = Shadowing::new(
@@ -85,7 +85,7 @@ impl Default for SigmaProfile {
 ///     Distance::from_meters(20.0)?,
 /// );
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let dev = fading.next_deviation_db(&mut rng);
+/// let dev = fading.next_deviation_db(rng.sample_standard_normal());
 /// assert!(dev.abs() < 20.0); // a few dB, not tens
 /// # Ok::<(), wsn_params::error::InvalidParam>(())
 /// ```
@@ -141,23 +141,32 @@ impl Shadowing {
         self.sigma_db
     }
 
-    /// Draws the next correlated deviation, dB.
+    /// Whether a step of the process consumes an innovation: false when
+    /// the deviation is zero and the process stays at 0 dB.
+    pub fn draws(&self) -> bool {
+        self.sigma_db != 0.0
+    }
+
+    /// Advances the process by one standard-normal innovation `z` and
+    /// returns the new deviation, dB. The first step starts the process in
+    /// its stationary distribution. A process that does not
+    /// [`draw`](Self::draws) ignores `z` and stays at 0 dB.
     ///
-    /// Generic over [`NormalSampler`], the engine-mode sampling seam: the
-    /// golden engine's `StdRng` keeps the polar Box–Muller transform
-    /// bit-for-bit, the fast engine's
-    /// [`FastRng`](wsn_sim_engine::rng::FastRng) substitutes the Ziggurat
-    /// sampler of the same `N(0, 1)` distribution.
-    pub fn next_deviation_db<R: NormalSampler + ?Sized>(&mut self, rng: &mut R) -> f64 {
+    /// The caller draws `z`: the golden engine's `StdRng` with the polar
+    /// Box–Muller transform, the fast engine's
+    /// [`FastRng`](wsn_sim_engine::rng::FastRng) with the Ziggurat sampler
+    /// of the same `N(0, 1)` distribution (see
+    /// [`NormalSampler`](wsn_sim_engine::rng::NormalSampler)).
+    pub fn next_deviation_db(&mut self, z: f64) -> f64 {
         if self.sigma_db == 0.0 {
             return 0.0;
         }
         if !self.initialised {
             // Start in the stationary distribution.
-            self.state_db = self.sigma_db * rng.sample_standard_normal();
+            self.state_db = self.sigma_db * z;
             self.initialised = true;
         } else {
-            let innovation = self.innovation_scale * rng.sample_standard_normal();
+            let innovation = self.innovation_scale * z;
             self.state_db = self.correlation * self.state_db + innovation;
         }
         self.state_db
@@ -169,6 +178,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use wsn_sim_engine::rng::NormalSampler;
 
     fn d(m: f64) -> Distance {
         Distance::from_meters(m).unwrap()
@@ -187,7 +197,9 @@ mod tests {
         let mut fading = Shadowing::new(SigmaProfile::paper_hallway(), 0.9, d(35.0));
         let mut rng = StdRng::seed_from_u64(7);
         let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| fading.next_deviation_db(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n)
+            .map(|_| fading.next_deviation_db(rng.sample_standard_normal()))
+            .collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.15, "mean={mean}");
@@ -199,7 +211,7 @@ mod tests {
         let mut fading = Shadowing::new(SigmaProfile::paper_hallway(), 0.9, d(20.0));
         let mut rng = StdRng::seed_from_u64(3);
         let samples: Vec<f64> = (0..100_000)
-            .map(|_| fading.next_deviation_db(&mut rng))
+            .map(|_| fading.next_deviation_db(rng.sample_standard_normal()))
             .collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / samples.len() as f64;
@@ -217,7 +229,7 @@ mod tests {
         let mut fading = Shadowing::new(SigmaProfile::none(), 0.9, d(35.0));
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..32 {
-            assert_eq!(fading.next_deviation_db(&mut rng), 0.0);
+            assert_eq!(fading.next_deviation_db(rng.sample_standard_normal()), 0.0);
         }
     }
 
@@ -237,8 +249,8 @@ mod tests {
         let mut r2 = StdRng::seed_from_u64(11);
         for _ in 0..128 {
             assert_eq!(
-                a.next_deviation_db(&mut r1).to_bits(),
-                b.next_deviation_db(&mut r2).to_bits()
+                a.next_deviation_db(r1.sample_standard_normal()).to_bits(),
+                b.next_deviation_db(r2.sample_standard_normal()).to_bits()
             );
         }
     }

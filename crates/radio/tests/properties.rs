@@ -102,12 +102,12 @@ proptest! {
             ChannelConfig::paper_hallway(),
             PowerLevel::new(level).unwrap(),
             Distance::from_meters(d).unwrap(),
+            StdRng::seed_from_u64(seed),
+            StdRng::seed_from_u64(seed ^ 0xA5A5),
         );
-        let mut fading = StdRng::seed_from_u64(seed);
-        let mut noise = StdRng::seed_from_u64(seed ^ 0xA5A5);
         let n = 4000;
         let mean_rssi: f64 = (0..n)
-            .map(|_| ch.observe(&mut fading, &mut noise).rssi_dbm)
+            .map(|_| ch.observe().rssi_dbm)
             .sum::<f64>() / n as f64;
         prop_assert!(
             (mean_rssi - ch.mean_rssi_dbm()).abs() < 0.6,

@@ -161,26 +161,63 @@ impl rand::RngCore for FastRng {
 /// [`FastRng`] substitutes the Ziggurat method — both are exact samplers of
 /// `N(0, 1)`, so swapping them changes the draw sequence but not the
 /// distribution.
+///
+/// A variate is split into its random draws ([`draw_normal`]) and a
+/// deterministic finish ([`finish_normal`]), so that a consumer that
+/// [`DRAW_AHEAD`]s can take a block of variates' draws back to back and
+/// finish them in a separate loop. The split never changes a bit: the
+/// finish is the very expression the one-at-a-time sampler ends with.
+///
+/// [`draw_normal`]: Self::draw_normal
+/// [`finish_normal`]: Self::finish_normal
+/// [`DRAW_AHEAD`]: Self::DRAW_AHEAD
 pub trait NormalSampler: Rng {
+    /// What [`draw_normal`](Self::draw_normal) takes from the stream.
+    type NormalDraw: Copy + Default;
+
+    /// Whether a consumer should draw a block of variates ahead. Worth it
+    /// only when the finish is a long serial chain that independent
+    /// variates can overlap (polar: `ln`, then a division, then `sqrt`);
+    /// not when the finish is free, so the generator pays for no buffer.
+    const DRAW_AHEAD: bool;
+
+    /// Takes one variate's random draws from the stream.
+    fn draw_normal(&mut self) -> Self::NormalDraw;
+
+    /// Turns one variate's draws into the standard-normal value.
+    fn finish_normal(draw: Self::NormalDraw) -> f64;
+
     /// Draws one standard-normal variate.
-    fn sample_standard_normal(&mut self) -> f64;
+    fn sample_standard_normal(&mut self) -> f64 {
+        Self::finish_normal(self.draw_normal())
+    }
 }
 
 impl NormalSampler for StdRng {
-    fn sample_standard_normal(&mut self) -> f64 {
-        standard_normal(self)
+    type NormalDraw = PolarDraw;
+    const DRAW_AHEAD: bool = true;
+
+    fn draw_normal(&mut self) -> PolarDraw {
+        polar_draw(self)
+    }
+
+    fn finish_normal(draw: PolarDraw) -> f64 {
+        polar_finish(draw)
     }
 }
 
 impl NormalSampler for FastRng {
-    fn sample_standard_normal(&mut self) -> f64 {
+    /// The Ziggurat is cheap and mostly branch-free, so its draw is the
+    /// finished variate.
+    type NormalDraw = f64;
+    const DRAW_AHEAD: bool = false;
+
+    fn draw_normal(&mut self) -> f64 {
         standard_normal_ziggurat(self)
     }
-}
 
-impl<T: NormalSampler + ?Sized> NormalSampler for &mut T {
-    fn sample_standard_normal(&mut self) -> f64 {
-        (**self).sample_standard_normal()
+    fn finish_normal(draw: f64) -> f64 {
+        draw
     }
 }
 
@@ -306,19 +343,41 @@ pub fn standard_normal_ziggurat<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Draws a standard-normal variate using the Box–Muller transform.
-///
-/// Implemented here rather than pulling in `rand_distr`; the polar rejection
-/// form is used for numerical robustness.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// The random half of one polar Box–Muller variate: the first coordinate
+/// `u` of the accepted point and its squared radius `s`, `0 < s < 1`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PolarDraw {
+    /// First coordinate of the accepted point, in `(-1, 1)`.
+    pub u: f64,
+    /// `u² + v²` of the accepted point, in `(0, 1)`.
+    pub s: f64,
+}
+
+/// Draws points uniformly in the square `[-1, 1)²` until one falls inside
+/// the unit disc (and off its centre).
+pub fn polar_draw<R: Rng + ?Sized>(rng: &mut R) -> PolarDraw {
     loop {
         let u: f64 = rng.gen_range(-1.0..1.0);
         let v: f64 = rng.gen_range(-1.0..1.0);
         let s = u * u + v * v;
         if s > 0.0 && s < 1.0 {
-            return u * (-2.0 * s.ln() / s).sqrt();
+            return PolarDraw { u, s };
         }
     }
+}
+
+/// Finishes a polar draw into its standard-normal value, `u·√(−2 ln s / s)`.
+#[inline]
+pub fn polar_finish(draw: PolarDraw) -> f64 {
+    draw.u * (-2.0 * draw.s.ln() / draw.s).sqrt()
+}
+
+/// Draws a standard-normal variate using the Box–Muller transform.
+///
+/// Implemented here rather than pulling in `rand_distr`; the polar rejection
+/// form is used for numerical robustness.
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+    polar_finish(polar_draw(rng))
 }
 
 /// Draws a normal variate with the given mean and standard deviation.
